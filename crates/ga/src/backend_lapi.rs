@@ -215,14 +215,8 @@ impl LapiGaBackend {
     /// Trace which arm of the hybrid protocol (§5.3/§6) an operation took.
     #[inline]
     fn trace_branch(&self, taken: &'static str, bytes: usize) {
-        spsim::trace::emit(
-            self.ctx.id(),
-            self.ctx.clock().now(),
-            spsim::trace::EventKind::Branch,
-            taken,
-            0,
-            bytes,
-        );
+        self.ctx
+            .trace(spsim::trace::EventKind::Branch, taken, 0, bytes);
     }
 
     /// Segment list → per-message vector tables (≤ the putv/getv limit),

@@ -78,9 +78,7 @@ impl MplGaBackend {
         // The MPL backend has exactly one protocol arm (marshalled send /
         // rcvncall serve, §5.2) — traced so timelines show which backend a
         // GA operation went through.
-        spsim::trace::emit(
-            self.ctx.id(),
-            self.ctx.clock().now(),
+        self.ctx.trace(
             spsim::trace::EventKind::Branch,
             "mpl-request",
             0,

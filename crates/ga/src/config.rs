@@ -17,7 +17,10 @@ pub struct GaConfig {
     /// the data in `udata` (landing in a pool buffer, combined by the
     /// completion handler) instead of a pipelined header-payload stream.
     pub acc_udata_min_bytes: usize,
-    /// Number of preallocated AM buffers per node (§5.3.1).
+    /// Number of preallocated AM buffers per node (§5.3.1). Preallocated
+    /// means the address range is reserved at backend init; its pages
+    /// commit on first use, as on AIX. A request larger than a buffer, or
+    /// one that finds every buffer taken, counts as `pool_exhausted`.
     pub pool_buffers: usize,
     /// Size of each pool buffer in bytes.
     pub pool_buffer_bytes: usize,

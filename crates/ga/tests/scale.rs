@@ -7,7 +7,9 @@
 //! every block locally, then pull a single remote element from the ring
 //! neighbor — because what is under test is the scheduler (spawn, yield
 //! points, engine service tasks, barrier parks, teardown at n = 1024),
-//! not GA throughput. `#[ignore]`d in the default lane: it is quick under
+//! not GA throughput. On Linux it also bounds the process's peak resident
+//! set to 1 GiB, so per-node memory that is reserved but never touched
+//! stays uncommitted at this node count. `#[ignore]`d in the default lane: it is quick under
 //! `--release` (CI runs it there with `-- --ignored`) but slow in debug.
 
 use std::sync::Arc;
@@ -57,4 +59,27 @@ fn thousand_node_ga_workload_completes_pooled() {
         assert_eq!(a.get(corner), vec![next as f64]);
         ga.sync();
     });
+    // Every node reserves GA's AM buffer pool but this workload never
+    // writes it; demand-zero address spaces keep that reservation free.
+    #[cfg(target_os = "linux")]
+    {
+        let peak = peak_rss_kib();
+        assert!(
+            peak < 1 << 20,
+            "1024-node GA smoke peaked at {} MiB resident; the bound is 1024 MiB",
+            peak >> 10
+        );
+    }
+}
+
+/// This process's peak resident set (`VmHWM`), in KiB.
+#[cfg(target_os = "linux")]
+fn peak_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("VmHWM line in kB")
 }

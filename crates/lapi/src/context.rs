@@ -66,6 +66,13 @@ impl LapiContext {
         self.engine.clock()
     }
 
+    /// Record a trace event on this node's timeline at the current virtual
+    /// time, through the world's tracer. Layers built on this context (GA)
+    /// trace through here.
+    pub fn trace(&self, kind: trace::EventKind, detail: &'static str, msg_id: u64, bytes: usize) {
+        self.engine.tr(kind, detail, msg_id, bytes);
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> VTime {
         self.engine.clock().now()
@@ -433,9 +440,7 @@ impl LapiContext {
                 self.engine.declare_peer_dead(t, &cause);
             }
         }
-        trace::emit(
-            self.id(),
-            self.now(),
+        self.trace(
             trace::EventKind::FenceDegraded,
             "gfence",
             survivors.len() as u64,

@@ -296,10 +296,18 @@ impl Engine {
     }
 
     /// Emit a trace event on this node's timeline at the current virtual
-    /// time. One relaxed atomic load when tracing is disabled.
+    /// time, through the world's tracer. One branch for an untraced world.
     #[inline]
-    fn tr(&self, kind: trace::EventKind, detail: &'static str, msg_id: u64, bytes: usize) {
-        trace::emit(self.id(), self.clock().now(), kind, detail, msg_id, bytes);
+    pub(crate) fn tr(
+        &self,
+        kind: trace::EventKind,
+        detail: &'static str,
+        msg_id: u64,
+        bytes: usize,
+    ) {
+        self.adapter
+            .tracer()
+            .emit(self.id(), self.clock().now(), kind, detail, msg_id, bytes);
     }
 
     /// Diagnostic snapshot used when a wait hits its real-time escape hatch:
@@ -407,7 +415,7 @@ impl Engine {
         self.stats.peer_deaths.incr();
         self.adapter.peer_health().mark_dead(target);
         let now = self.clock().now();
-        trace::emit(
+        self.adapter.tracer().emit(
             self.id(),
             now,
             trace::EventKind::PeerDead,
@@ -430,7 +438,7 @@ impl Engine {
         // bumped (Done cmpl_cntr, get-reply org_cntr).
         let credited: Vec<CounterId> = std::mem::take(&mut self.pending_cmpl.lock()[target]);
         for &id in &credited {
-            trace::emit(
+            self.adapter.tracer().emit(
                 self.id(),
                 now,
                 trace::EventKind::OpCancelled,
@@ -459,7 +467,7 @@ impl Engine {
                 .collect()
         };
         for (ticket, slot) in &stranded {
-            trace::emit(
+            self.adapter.tracer().emit(
                 self.id(),
                 now,
                 trace::EventKind::OpCancelled,
@@ -659,7 +667,9 @@ impl Engine {
     }
 
     pub(crate) fn mem_read(&self, addr: Addr, len: usize) -> Vec<u8> {
-        self.space.lock().read(addr, len).to_vec()
+        let mut out = vec![0; len];
+        self.space.lock().read_into(addr, &mut out);
+        out
     }
 
     pub(crate) fn mem_write(&self, addr: Addr, data: &[u8]) {
@@ -692,7 +702,7 @@ impl Engine {
     }
 
     fn bump_counter(&self, id: CounterId, at: VTime) {
-        trace::emit(
+        self.adapter.tracer().emit(
             self.id(),
             at,
             trace::EventKind::Counter,
@@ -839,7 +849,7 @@ impl Engine {
         if let (Some(c), Some(r)) = (org_cntr, last) {
             // Origin buffer reusable once the last fragment is on the wire.
             c.incr_at(r.injected_at);
-            trace::emit(
+            self.adapter.tracer().emit(
                 self.id(),
                 r.injected_at,
                 trace::EventKind::Counter,
@@ -968,7 +978,7 @@ impl Engine {
             .or_diag("batch contained at least the header packet");
         if let Some(c) = org_cntr {
             c.incr_at(last.injected_at);
-            trace::emit(
+            self.adapter.tracer().emit(
                 self.id(),
                 last.injected_at,
                 trace::EventKind::Counter,
@@ -1189,7 +1199,7 @@ impl Engine {
         clock.advance(self.config().lapi_dispatch);
         self.stats.packets_dispatched.incr();
         let src = s.item.src;
-        trace::emit(
+        self.adapter.tracer().emit(
             self.id(),
             s.at,
             trace::EventKind::Deliver,
@@ -1638,10 +1648,12 @@ impl Engine {
         let clock = self.clock();
         clock.advance(cfg.lapi_handler_issue + cfg.lapi_vec_desc * vecs.len() as u64);
         let total = IoVec::total(&vecs);
-        let mut data = Vec::with_capacity(total);
+        let mut data = vec![0; total];
         self.with_space(|sp| {
+            let mut at = 0;
             for v in &vecs {
-                data.extend_from_slice(sp.read(v.addr, v.len));
+                sp.read_into(v.addr, &mut data[at..at + v.len]);
+                at += v.len;
             }
         });
         let frags = self.reply_frags(cfg, msg_id, data, org_addr, org_cntr);
@@ -1992,7 +2004,7 @@ impl Engine {
 
     /// Write one received-but-never-processed packet off the trace ledger.
     fn write_off_packet(&self, s: &Stamped<WirePacket<LapiBody>>) {
-        trace::emit(
+        self.adapter.tracer().emit(
             self.id(),
             s.at,
             trace::EventKind::WriteOff,

@@ -37,8 +37,8 @@
 //!   the completion handler to finish.
 //!
 //! Remote memory is addressed with [`Addr`] handles into each node's
-//! [`AddressSpace`] arena — the simulation-safe stand-in for raw virtual
-//! addresses on the SP.
+//! demand-zero [`AddressSpace`] — the simulation-safe stand-in for raw
+//! virtual addresses on the SP.
 
 #![warn(missing_docs)]
 

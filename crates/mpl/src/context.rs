@@ -4,7 +4,7 @@ use spsim::ServiceHandle;
 use std::sync::Arc;
 use std::time::Instant;
 
-use spsim::{NodeId, VClock, VDur, VTime};
+use spsim::{trace, NodeId, VClock, VDur, VTime};
 
 use crate::engine::{MplEngine, MplStats, RcvncallFn, RecvState, SendState};
 use crate::wire::Tag;
@@ -155,6 +155,13 @@ impl MplContext {
     /// The node's virtual clock.
     pub fn clock(&self) -> &VClock {
         self.engine.clock()
+    }
+
+    /// Record a trace event on this node's timeline at the current virtual
+    /// time, through the world's tracer. Layers built on this context (GA)
+    /// trace through here.
+    pub fn trace(&self, kind: trace::EventKind, detail: &'static str, msg_id: u64, bytes: usize) {
+        self.engine.tr(kind, detail, msg_id, bytes);
     }
 
     /// Current virtual time.

@@ -311,10 +311,18 @@ impl MplEngine {
     }
 
     /// Emit a trace event on this node's timeline at the current virtual
-    /// time. One relaxed atomic load when tracing is disabled.
+    /// time, through the world's tracer. One branch for an untraced world.
     #[inline]
-    fn tr(&self, kind: trace::EventKind, detail: &'static str, msg_id: u64, bytes: usize) {
-        trace::emit(self.id(), self.clock().now(), kind, detail, msg_id, bytes);
+    pub(crate) fn tr(
+        &self,
+        kind: trace::EventKind,
+        detail: &'static str,
+        msg_id: u64,
+        bytes: usize,
+    ) {
+        self.adapter
+            .tracer()
+            .emit(self.id(), self.clock().now(), kind, detail, msg_id, bytes);
     }
 
     /// Diagnostic snapshot for the real-time escape hatches: matching-state
@@ -649,7 +657,7 @@ impl MplEngine {
         clock.advance(cfg.mpl_pkt_dispatch);
         self.stats.packets.incr();
         let src = s.item.src;
-        trace::emit(
+        self.adapter.tracer().emit(
             self.id(),
             s.at,
             trace::EventKind::Deliver,

@@ -1,18 +1,21 @@
 //! Virtual-time event tracing and deadlock diagnostics.
 //!
 //! Every protocol layer in the workspace (switch adapter, LAPI engine, MPL
-//! engine, Global Arrays backends) emits [`TraceEvent`]s on its hot paths via
-//! [`emit`]. Events land in per-node ring buffers inside one process-global
-//! [`TraceSink`]; [`crate::run_spmd`] drains the rings when a job finishes,
-//! and [`TraceSession::finish`] hands back the merged, deterministically
-//! ordered [`Timeline`].
+//! engine, Global Arrays backends) emits [`TraceEvent`]s on its hot paths
+//! through its world's [`Tracer`]. Events land in per-node ring buffers
+//! inside one process-global [`TraceSink`]; [`crate::run_spmd`] drains the
+//! rings when a job finishes, and [`TraceSession::finish`] hands back the
+//! merged, deterministically ordered [`Timeline`].
 //!
-//! Tracing is **disabled by default** and the entire record path is gated on
-//! one relaxed atomic load ([`enabled`]), so instrumented code pays a single
-//! predictable branch when no one is looking. Enable it by holding a
-//! [`TraceSession`] (see [`session`]); the session also serializes traced
-//! runs across test threads so concurrent tests cannot interleave their
-//! timelines.
+//! Tracing is **disabled by default**. Open a [`TraceSession`] (see
+//! [`session`]) and build the world on the same thread: a world decides once,
+//! when its switch is built ([`Tracer::for_new_world`]), whether it records,
+//! and it records only into the session that was open on the building thread
+//! at that moment. A world built anywhere else never records, so a test
+//! running concurrently with a traced one cannot leak events into its
+//! timeline or its quiescence ledger. An untraced world's record path is one
+//! predictable branch. Sessions also serialize traced runs across test
+//! threads.
 //!
 //! Determinism: virtual time makes each node's event *multiset* at any
 //! `(vtime, node)` reproducible for a fixed seed, but OS scheduling can vary
@@ -26,8 +29,9 @@
 //! eviction; [`TraceSink::assert_quiescent`] uses them to flag messages that
 //! entered the switch but were never consumed by a protocol engine.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -214,7 +218,8 @@ impl NodeRing {
 /// The process-global event sink. Use [`TraceSink::global`] (or the
 /// module-level helpers) — there is exactly one per process.
 pub struct TraceSink {
-    enabled: AtomicBool,
+    /// Id of the open session (0: none). Ids are never reused.
+    session: AtomicU64,
     rings: RwLock<Vec<Arc<NodeRing>>>,
     capacity: AtomicUsize,
     injected: AtomicU64,
@@ -227,7 +232,7 @@ pub struct TraceSink {
 }
 
 static SINK: TraceSink = TraceSink {
-    enabled: AtomicBool::new(false),
+    session: AtomicU64::new(0),
     rings: RwLock::new(Vec::new()),
     capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
     injected: AtomicU64::new(0),
@@ -241,39 +246,35 @@ static SINK: TraceSink = TraceSink {
 
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
 
+/// Source of session ids.
+static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// Id of the session this thread holds (0: none). A [`TraceSession`]
+    /// is `!Send`, so the thread that opened it is the one that drops it.
+    static HELD_HERE: Cell<u64> = const { Cell::new(0) };
+}
+
 impl TraceSink {
     /// The process-global sink.
     pub fn global() -> &'static TraceSink {
         &SINK
     }
 
-    /// Is event recording currently enabled?
+    /// Is a trace session open?
     #[inline]
     pub fn enabled(&self) -> bool {
-        // ordering: hot-path gate; stale reads only delay when recording
-        // starts/stops by a few events, which the session lock tolerates.
-        self.enabled.load(Ordering::Relaxed)
+        self.open_session() != 0
     }
 
-    /// Record one event. No-op (one atomic load) while disabled.
-    #[inline]
-    pub fn record(
-        &self,
-        node: NodeId,
-        vtime: VTime,
-        kind: EventKind,
-        detail: &'static str,
-        msg_id: u64,
-        bytes: usize,
-    ) {
-        if !self.enabled() {
-            return;
-        }
-        self.record_slow(node, vtime, kind, detail, msg_id, bytes);
+    fn open_session(&self) -> u64 {
+        // ordering: a stale read only delays when recording starts/stops
+        // by a few events, which the session lock tolerates.
+        self.session.load(Ordering::Relaxed)
     }
 
     #[cold]
-    fn record_slow(
+    fn record(
         &self,
         node: NodeId,
         vtime: VTime,
@@ -414,7 +415,8 @@ impl TraceSink {
 
     /// Move everything currently buffered in the per-node rings into the
     /// sealed timeline, in deterministic merged order. Called by
-    /// [`crate::run_spmd`] when a traced job finishes.
+    /// [`crate::run_spmd`] when any job finishes, which may be in the middle
+    /// of a traced job on another thread; the merged order is kept whole.
     pub fn seal(&self) {
         if !self.enabled() {
             return;
@@ -425,8 +427,9 @@ impl TraceSink {
             batch.extend(ring.events.lock().drain(..));
         }
         drop(rings);
-        batch.sort_by_key(TraceEvent::key);
-        self.sealed.lock().extend(batch);
+        let mut sealed = self.sealed.lock();
+        sealed.extend(batch);
+        sealed.sort_by_key(TraceEvent::key);
     }
 
     /// Events evicted from full rings since the last reset (0 means the
@@ -512,24 +515,46 @@ impl TraceSink {
     }
 }
 
-/// Is tracing enabled? Instrumented hot paths check this (or rely on
-/// [`emit`]'s internal check) — one relaxed atomic load when disabled.
+/// Is a trace session open (on any thread)?
 #[inline]
 pub fn enabled() -> bool {
     SINK.enabled()
 }
 
-/// Record one event into the global sink (no-op while tracing is disabled).
-#[inline]
-pub fn emit(
-    node: NodeId,
-    vtime: VTime,
-    kind: EventKind,
-    detail: &'static str,
-    msg_id: u64,
-    bytes: usize,
-) {
-    SINK.record(node, vtime, kind, detail, msg_id, bytes);
+/// A world's route into the sink, decided once when the world is built and
+/// carried by its adapters; protocol layers emit through their adapter's
+/// tracer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tracer {
+    /// The session this world records into (0: never records).
+    session: u64,
+}
+
+impl Tracer {
+    /// The tracer for a world being built on the calling thread: it records
+    /// into the session this thread holds, if any, and only while that
+    /// session stays open.
+    pub fn for_new_world() -> Tracer {
+        Tracer {
+            session: HELD_HERE.with(Cell::get),
+        }
+    }
+
+    /// Record one event. One branch for an untraced world.
+    #[inline]
+    pub fn emit(
+        &self,
+        node: NodeId,
+        vtime: VTime,
+        kind: EventKind,
+        detail: &'static str,
+        msg_id: u64,
+        bytes: usize,
+    ) {
+        if self.session != 0 && self.session == SINK.open_session() {
+            SINK.record(node, vtime, kind, detail, msg_id, bytes);
+        }
+    }
 }
 
 /// Shorthand for [`TraceSink::tail_report`] on the global sink.
@@ -572,13 +597,16 @@ pub struct TraceSession {
 }
 
 /// Start a traced run: acquires the global session lock, resets the sink and
-/// enables recording.
+/// enables recording for worlds built on this thread until the session ends.
 pub fn session() -> TraceSession {
     let lock = SESSION_LOCK.lock();
     SINK.reset();
+    // ordering: ids only need to be unique; the lock orders sessions.
+    let id = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
+    HELD_HERE.with(|h| h.set(id));
     // ordering: SeqCst fences the reset above against the first recorded
     // event on any thread spawned after session() returns.
-    SINK.enabled.store(true, Ordering::SeqCst);
+    SINK.session.store(id, Ordering::SeqCst);
     TraceSession { _lock: lock }
 }
 
@@ -601,9 +629,10 @@ impl TraceSession {
 
 impl Drop for TraceSession {
     fn drop(&mut self) {
+        HELD_HERE.with(|h| h.set(0));
         // ordering: SeqCst fences disabling against the reset that follows,
         // so a straggler record cannot land in a cleared sink.
-        SINK.enabled.store(false, Ordering::SeqCst);
+        SINK.session.store(0, Ordering::SeqCst);
         SINK.reset();
     }
 }
@@ -614,22 +643,43 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_record_is_noop() {
-        // No session held: emitting must leave the sink untouched.
-        emit(0, VTime::from_us(1), EventKind::Note, "ignored", 0, 0);
-        assert!(!enabled());
+        // Built with no session held: this world never records, not even
+        // into a session opened later on the same thread.
+        let untraced = Tracer::for_new_world();
+        untraced.emit(0, VTime::from_us(1), EventKind::Note, "ignored", 0, 0);
         let s = session();
+        untraced.emit(0, VTime::from_us(2), EventKind::Inject, "pkt", 1, 64);
         assert_eq!(s.sink().injected(), 0);
         let t = s.finish();
         assert!(t.events.is_empty());
     }
 
     #[test]
+    fn only_worlds_built_on_the_session_thread_record() {
+        let s = session();
+        let traced = Tracer::for_new_world();
+        let other = std::thread::spawn(Tracer::for_new_world)
+            .join()
+            .expect("tracer thread");
+        other.emit(7, VTime::from_us(1), EventKind::Inject, "pkt", 1, 64);
+        traced.emit(0, VTime::from_us(1), EventKind::Inject, "pkt", 1, 64);
+        let t = s.finish();
+        assert_eq!(t.events.len(), 1);
+        assert_eq!(t.events[0].node, 0);
+        // A traced world that outlives its session records into no other.
+        let s = session();
+        traced.emit(0, VTime::from_us(2), EventKind::Inject, "pkt", 2, 64);
+        assert_eq!(s.sink().injected(), 0);
+    }
+
+    #[test]
     fn session_captures_merged_ordered_timeline() {
         let s = session();
+        let tr = Tracer::for_new_world();
         // Deliberately record out of order and across nodes.
-        emit(1, VTime::from_us(20), EventKind::Eject, "pkt", 7, 64);
-        emit(0, VTime::from_us(10), EventKind::Inject, "pkt", 7, 64);
-        emit(0, VTime::from_us(20), EventKind::Note, "later", 0, 0);
+        tr.emit(1, VTime::from_us(20), EventKind::Eject, "pkt", 7, 64);
+        tr.emit(0, VTime::from_us(10), EventKind::Inject, "pkt", 7, 64);
+        tr.emit(0, VTime::from_us(20), EventKind::Note, "later", 0, 0);
         let t = s.finish();
         let kinds: Vec<EventKind> = t.events.iter().map(|e| e.kind).collect();
         assert_eq!(
@@ -640,16 +690,17 @@ mod tests {
         assert_eq!(t.evicted, 0);
         let text = t.render();
         assert!(text.contains("inject"), "render lists kinds: {text}");
-        assert!(!enabled(), "finish() disables tracing");
+        assert_eq!(HELD_HERE.with(Cell::get), 0, "finish() ends the session");
     }
 
     #[test]
     fn quiescent_when_balanced_and_panics_when_leaky() {
         let s = session();
-        emit(0, VTime::from_us(1), EventKind::Inject, "pkt", 1, 64);
-        emit(1, VTime::from_us(2), EventKind::Deliver, "pkt", 1, 64);
+        let tr = Tracer::for_new_world();
+        tr.emit(0, VTime::from_us(1), EventKind::Inject, "pkt", 1, 64);
+        tr.emit(1, VTime::from_us(2), EventKind::Deliver, "pkt", 1, 64);
         s.sink().assert_quiescent();
-        emit(0, VTime::from_us(3), EventKind::Inject, "pkt", 2, 64);
+        tr.emit(0, VTime::from_us(3), EventKind::Inject, "pkt", 2, 64);
         let sink = s.sink();
         let err =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.assert_quiescent()))
@@ -666,8 +717,9 @@ mod tests {
     fn ring_evicts_oldest_beyond_capacity() {
         let s = session();
         s.sink().set_capacity(4);
+        let tr = Tracer::for_new_world();
         for i in 0..10u64 {
-            emit(0, VTime::from_us(i), EventKind::Note, "n", i, 0);
+            tr.emit(0, VTime::from_us(i), EventKind::Note, "n", i, 0);
         }
         let t = s.finish();
         SINK.set_capacity(DEFAULT_RING_CAPACITY);

@@ -60,8 +60,10 @@
 //! (on the sender, `msg_id` = destination), `drop`/`retransmit` per failed
 //! round (a drop may be the data packet or its ACK — see the event detail),
 //! `eject` (on the destination at delivery, `msg_id` = source), plus `ack`,
-//! `dup` and `flow-stall` for the protocol itself. Protocol engines emit the
-//! matching `deliver` when they consume the packet, which is what
+//! `dup` and `flow-stall` for the protocol itself. Every event goes through
+//! the adapter's [`Tracer`], which its `Network` chose once for the whole
+//! world. Protocol engines emit the matching `deliver` through the same
+//! tracer when they consume the packet, which is what
 //! [`spsim::trace::TraceSink::assert_quiescent`] balances against `inject`
 //! (ACKs and suppressed duplicates are adapter-internal and excluded).
 
@@ -69,8 +71,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use spsim::trace::{self, Tracer};
 use spsim::{
-    trace, DeliveryQueue, MachineConfig, NodeId, OrDiag, SimRng, StatCounter, VClock, VDur, VTime,
+    DeliveryQueue, MachineConfig, NodeId, OrDiag, SimRng, StatCounter, VClock, VDur, VTime,
 };
 
 use crate::link::Link;
@@ -302,6 +305,8 @@ pub struct Adapter<M> {
     /// Cached per-node `slow(node, factor)` serialization multipliers from
     /// the fault plan (all 1 without node faults).
     slow: Vec<u32>,
+    /// This world's trace route, shared by every adapter of the switch.
+    tracer: Tracer,
 }
 
 impl<M: Send + Clone + 'static> Adapter<M> {
@@ -310,6 +315,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
         cfg: Arc<MachineConfig>,
         ports: Arc<Vec<Port<M>>>,
         rng: SimRng,
+        tracer: Tracer,
     ) -> Self {
         let flows = (0..ports.len())
             .map(|_| Mutex::new(FlowState::new()))
@@ -330,6 +336,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
             armed,
             health,
             slow,
+            tracer,
         }
     }
 
@@ -361,6 +368,12 @@ impl<M: Send + Clone + 'static> Adapter<M> {
     /// This node's wire statistics.
     pub fn stats(&self) -> &AdapterStats {
         &self.ports[self.id].stats
+    }
+
+    /// This world's trace route: protocol layers above the adapter emit
+    /// their events through it.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// This adapter's per-peer liveness memo.
@@ -425,7 +438,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
         let ser = self.cfg.wire_time(self.cfg.ack_bytes) * self.slow[dst] as u64;
         let done = flow.ack_lane.reserve(at, ser);
         self.ports[dst].stats.acks_sent.incr();
-        trace::emit(
+        self.tracer.emit(
             dst,
             done,
             trace::EventKind::Ack,
@@ -472,7 +485,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
         let ser_tx = ser * self.slow[self.id] as u64;
         let ser_rx = ser * self.slow[dst] as u64;
         let injected_at = self.injection.reserve(at, ser_tx);
-        trace::emit(
+        self.tracer.emit(
             self.id,
             injected_at,
             trace::EventKind::Inject,
@@ -500,7 +513,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
             flow.tx_acked = flow.tx_acked.max(seq + 1);
             flow.rx_next = flow.rx_next.max(seq + 1);
             port.stats.packets_received.incr();
-            trace::emit(
+            self.tracer.emit(
                 dst,
                 injected_at,
                 trace::EventKind::Eject,
@@ -525,7 +538,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                 // The destination closed its queue (crashed / terminated)
                 // between our health check and the push: the packet is gone
                 // and no Deliver will balance the Inject — write it off.
-                trace::emit(
+                self.tracer.emit(
                     dst,
                     injected_at,
                     trace::EventKind::WriteOff,
@@ -573,7 +586,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                 self.cfg.faults.black_holed(self.id, dst, arrival) || rng.chance(faults.drop_prob);
             let mut round_ok = false;
             if lost {
-                trace::emit(
+                self.tracer.emit(
                     self.id,
                     arrival,
                     trace::EventKind::Drop,
@@ -592,7 +605,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                     accepted = Some(eject);
                     flow.rx_next = flow.rx_next.max(seq + 1);
                     port.stats.packets_received.incr();
-                    trace::emit(
+                    self.tracer.emit(
                         dst,
                         eject,
                         trace::EventKind::Eject,
@@ -618,7 +631,8 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                         // terminated mid-exchange): the packet lands on a
                         // powered-off adapter, so no Deliver event will ever
                         // balance the Inject — write it off here.
-                        trace::emit(dst, eject, trace::EventKind::WriteOff, "closed", seq, 1);
+                        self.tracer
+                            .emit(dst, eject, trace::EventKind::WriteOff, "closed", seq, 1);
                     }
                     // Fabric duplication: the copy crosses the ejection
                     // link too, then the dedup discards it.
@@ -628,7 +642,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                             // Mutant: cursor off by one — the duplicate is
                             // handed to the protocol as if it were new.
                             port.stats.packets_received.incr();
-                            trace::emit(
+                            self.tracer.emit(
                                 dst,
                                 dup_at,
                                 trace::EventKind::Eject,
@@ -651,7 +665,14 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                             );
                         } else {
                             port.stats.dups_suppressed.incr();
-                            trace::emit(dst, dup_at, trace::EventKind::Dup, "pkt", seq, wire_bytes);
+                            self.tracer.emit(
+                                dst,
+                                dup_at,
+                                trace::EventKind::Dup,
+                                "pkt",
+                                seq,
+                                wire_bytes,
+                            );
                         }
                     }
                     // ACK coalescing: this acceptance joins the batch.
@@ -672,7 +693,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                     if let Some(extra) = mutant_dup_copy.take() {
                         // Mutant: cursor off by one — see above.
                         port.stats.packets_received.incr();
-                        trace::emit(
+                        self.tracer.emit(
                             dst,
                             dup_at,
                             trace::EventKind::Eject,
@@ -695,7 +716,14 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                         );
                     } else {
                         port.stats.dups_suppressed.incr();
-                        trace::emit(dst, dup_at, trace::EventKind::Dup, "pkt", seq, wire_bytes);
+                        self.tracer.emit(
+                            dst,
+                            dup_at,
+                            trace::EventKind::Dup,
+                            "pkt",
+                            seq,
+                            wire_bytes,
+                        );
                     }
                     dup_at
                 };
@@ -703,7 +731,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                 let ack_dead =
                     self.cfg.faults.black_holed(dst, self.id, ack_from) || rng.chance(ack_loss);
                 if ack_dead {
-                    trace::emit(
+                    self.tracer.emit(
                         dst,
                         ack_from,
                         trace::EventKind::Drop,
@@ -739,7 +767,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
             if retries >= self.cfg.max_retransmits {
                 my.timeouts.incr();
                 self.health.mark_dead(dst);
-                trace::emit(
+                self.tracer.emit(
                     self.id,
                     attempt,
                     trace::EventKind::FlowStall,
@@ -751,7 +779,8 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                     // The data never reached the destination: its `inject`
                     // will never be balanced by a `deliver`, so retire the
                     // packet from the quiescence ledger explicitly.
-                    trace::emit(self.id, attempt, trace::EventKind::WriteOff, "send", seq, 1);
+                    self.tracer
+                        .emit(self.id, attempt, trace::EventKind::WriteOff, "send", seq, 1);
                 }
                 return Err(DeliveryTimeout {
                     src: self.id,
@@ -786,7 +815,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                 self.cfg.retransmit_timeout
             };
             attempt = self.injection.reserve(attempt + timeout, ser_tx);
-            trace::emit(
+            self.tracer.emit(
                 self.id,
                 attempt,
                 trace::EventKind::Retransmit,
@@ -856,7 +885,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
         let injected = self.injection.reserve_batch(first_at, step, &sers);
         let my = &self.ports[self.id].stats;
         for (i, &(wire_bytes, _)) in frags.iter().enumerate() {
-            trace::emit(
+            self.tracer.emit(
                 self.id,
                 injected[i],
                 trace::EventKind::Inject,
@@ -891,7 +920,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
             flow.tx_acked = flow.tx_acked.max(seq + 1);
             flow.rx_next = flow.rx_next.max(seq + 1);
             port.stats.packets_received.incr();
-            trace::emit(
+            self.tracer.emit(
                 dst,
                 eject,
                 trace::EventKind::Eject,
@@ -915,7 +944,8 @@ impl<M: Send + Clone + 'static> Adapter<M> {
             if !accepted {
                 // Receiver queue already closed: no Deliver will balance
                 // the Inject — write the packet off.
-                trace::emit(dst, eject, trace::EventKind::WriteOff, "closed", seq, 1);
+                self.tracer
+                    .emit(dst, eject, trace::EventKind::WriteOff, "closed", seq, 1);
             }
             out.push(SendReceipt {
                 injected_at: injected[i],

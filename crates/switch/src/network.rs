@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use spsim::trace::Tracer;
 use spsim::{DeliveryPath, DeliveryQueue, DeliveryRings, MachineConfig, SimRng, TimedQueue};
 
 use crate::adapter::{Adapter, AdapterStats, Port};
@@ -13,7 +14,9 @@ pub struct Network<M> {
 
 impl<M: Send + Clone + 'static> Network<M> {
     /// Wire up `n` nodes with the given cost model. `seed` drives route
-    /// selection and drop injection deterministically.
+    /// selection and drop injection deterministically. The world records
+    /// trace events only if the calling thread holds the open
+    /// [`spsim::trace::session`].
     pub fn new(n: usize, cfg: Arc<MachineConfig>, seed: u64) -> Self {
         assert!(n > 0, "a switch needs at least one node");
         assert!(cfg.num_routes > 0, "need at least one route");
@@ -36,8 +39,19 @@ impl<M: Send + Clone + 'static> Network<M> {
                 .collect(),
         );
         let mut root = SimRng::new(seed);
+        // Decided once: this world records only if the thread building it
+        // holds the open trace session.
+        let tracer = Tracer::for_new_world();
         let adapters = (0..n)
-            .map(|id| Adapter::new(id, Arc::clone(&cfg), Arc::clone(&ports), root.split()))
+            .map(|id| {
+                Adapter::new(
+                    id,
+                    Arc::clone(&cfg),
+                    Arc::clone(&ports),
+                    root.split(),
+                    tracer,
+                )
+            })
             .collect();
         Network { adapters }
     }

@@ -2,7 +2,7 @@
 //! when the network misbehaves — packet loss plus multi-route reordering —
 //! and when a program genuinely deadlocks.
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. an `amsend` large enough to stripe across many packets reassembles
 //!    correctly under loss + out-of-order routes, and the wire-level
@@ -11,11 +11,14 @@
 //! 2. the merged timeline is *virtually deterministic*: the same seed
 //!    renders to byte-identical text, however the host schedules threads;
 //! 3. a simulated deadlock dies with a diagnostic report (engine state +
-//!    event tail), not a bare panic.
+//!    event tail), not a bare panic;
+//! 4. a world built off the session thread never records, even while it
+//!    runs alongside a traced one.
 
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use lapi_sp::lapi::{HdrOutcome, LapiWorld, Mode};
+use lapi_sp::lapi::{HdrOutcome, LapiContext, LapiWorld, Mode};
 use lapi_sp::sim::trace::{self, EventKind};
 use lapi_sp::sim::{run_spmd_with, MachineConfig};
 
@@ -27,12 +30,21 @@ const AM_BYTES: usize = 96 * 1024;
 /// other rank; targets verify the reassembled bytes after reassembly.
 /// Returns the per-rank final virtual times (a cheap workload fingerprint).
 fn lossy_amsend_run(n: usize, seed: u64) -> Vec<u64> {
+    lossy_amsend(lossy_world(n, seed))
+}
+
+/// An `n`-node world for the lossy workload. It records trace events only
+/// if this thread holds the open trace session.
+fn lossy_world(n: usize, seed: u64) -> Vec<LapiContext> {
     let cfg = MachineConfig::default().with_drop_prob(0.15);
     assert!(cfg.num_routes > 1, "reordering needs multiple routes");
     // Polling mode: progress is driven by the tasks' own waitcntr polling,
     // which is the regime whose virtual time is guaranteed host-schedule
     // independent (interrupt mode's idle-dispatcher charge is not).
-    let ctxs = LapiWorld::init_seeded(n, cfg, Mode::Polling, seed);
+    LapiWorld::init_seeded(n, cfg, Mode::Polling, seed)
+}
+
+fn lossy_amsend(ctxs: Vec<LapiContext>) -> Vec<u64> {
     run_spmd_with(ctxs, |rank, ctx| {
         // The whole message lands here; `tgt` fires only once every packet
         // has been deposited (the counter update runs on the polling
@@ -131,6 +143,46 @@ fn same_seed_yields_byte_identical_merged_trace() {
     let (ra, rb) = (a.render(), b.render());
     assert_eq!(ra, rb, "same seed must render a byte-identical timeline");
     assert!(!ra.is_empty());
+}
+
+#[test]
+fn untraced_world_alongside_a_traced_one_records_nothing() {
+    // The traced 2-node run on its own, as the reference timeline.
+    let capture_solo = || {
+        let s = trace::session();
+        s.sink().set_capacity(1 << 20);
+        lossy_amsend_run(2, 0x5EED);
+        s.finish().render()
+    };
+    let solo = capture_solo();
+
+    let s = trace::session();
+    s.sink().set_capacity(1 << 20);
+    // A 4-node world built on another thread, so off the session: its
+    // traffic runs entirely inside the session (it is joined before
+    // `finish`) but must not reach the sink. Ranks 2 and 3 exist only
+    // there, and its ranks 0 and 1 would change the rendered timeline.
+    let start = Arc::new(Barrier::new(2));
+    let untraced = {
+        let start = Arc::clone(&start);
+        std::thread::spawn(move || {
+            let ctxs = lossy_world(4, 0xBAD_5EED);
+            start.wait();
+            lossy_amsend(ctxs)
+        })
+    };
+    let ctxs = lossy_world(2, 0x5EED);
+    start.wait();
+    lossy_amsend(ctxs);
+    let times = untraced.join().expect("untraced world");
+    assert!(times.iter().all(|&t| t > 0), "the untraced world ran");
+    s.sink().assert_quiescent();
+    let tl = s.finish();
+    assert!(
+        tl.events.iter().all(|e| e.node < 2),
+        "an untraced world's events leaked into the timeline"
+    );
+    assert_eq!(tl.render(), solo, "the timeline is the traced run's alone");
 }
 
 #[test]
