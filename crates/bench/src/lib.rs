@@ -1,8 +1,8 @@
 //! # lapi-bench — the experiment harness reproducing the paper's evaluation
 //!
 //! One module per paper artifact; each returns a structured
-//! [`report::Report`] that the binaries print (and `cargo bench` runs via
-//! the `experiments` bench target). Absolute numbers come from the
+//! [`report::Report`] that the binaries print (`all_experiments` runs them
+//! all). Absolute numbers come from the
 //! calibrated cost model in `spsim::MachineConfig`; *shapes* — who wins,
 //! by what factor, where the protocol crossovers fall — come from actually
 //! executing the protocols over the simulated switch.
@@ -23,11 +23,11 @@ pub mod perf;
 pub mod report;
 pub mod worlds;
 
-/// Run every experiment in paper order, printing reports as they finish.
-/// `quick` shrinks repetition counts (used by `cargo bench`).
 /// An experiment entry point.
 type ExperimentFn = fn(bool) -> report::Report;
 
+/// Run every experiment in paper order, printing reports as they finish.
+/// `quick` shrinks repetition counts (`all_experiments --quick`).
 pub fn run_all(quick: bool) -> Vec<report::Report> {
     let runs: Vec<(&str, ExperimentFn)> = vec![
         ("table2", experiments::table2::run),

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use spsim::trace::Tracer;
 use spsim::SimCondvar;
 use spsim::{VClock, VTime};
 
@@ -128,8 +129,9 @@ impl Counter {
     ///
     /// The caller's virtual clock is *not* advanced while blocked. `escape`
     /// bounds real blocking time — hitting it panics, flagging a simulated
-    /// deadlock (e.g. polling-mode LAPI with nobody polling).
-    pub(crate) fn wait_consume(&self, clock: &VClock, val: i64, escape: Duration) {
+    /// deadlock (e.g. polling-mode LAPI with nobody polling), with the event
+    /// tail of the world `tracer` routes to.
+    pub(crate) fn wait_consume(&self, clock: &VClock, val: i64, escape: Duration, tracer: &Tracer) {
         let mut st = self.inner.state.lock();
         while st.value < val {
             if self.inner.cond.wait_for(&mut st, escape).timed_out() {
@@ -140,7 +142,7 @@ impl Counter {
                     self.id,
                     st.value,
                     clock.now().as_ns(),
-                    spsim::trace::tail_report(spsim::trace::REPORT_TAIL)
+                    tracer.tail_report(spsim::trace::REPORT_TAIL)
                 );
             }
         }
@@ -191,7 +193,7 @@ mod tests {
                 c2.incr_at(VTime::from_us(10 * i));
             }
         });
-        c.wait_consume(&clock, 3, Duration::from_secs(5));
+        c.wait_consume(&clock, 3, Duration::from_secs(5), &Tracer::default());
         h.join().unwrap();
         assert_eq!(c.get(), 2);
         assert!(clock.now() >= VTime::from_us(30));
@@ -205,7 +207,12 @@ mod tests {
             thread::sleep(Duration::from_millis(20));
             c2.set(10);
         });
-        c.wait_consume(&VClock::new(), 10, Duration::from_secs(5));
+        c.wait_consume(
+            &VClock::new(),
+            10,
+            Duration::from_secs(5),
+            &Tracer::default(),
+        );
         h.join().unwrap();
         assert_eq!(c.get(), 0);
     }
@@ -222,7 +229,12 @@ mod tests {
     #[should_panic(expected = "simulated deadlock")]
     fn wait_escape_panics() {
         let c = Counter::new(9);
-        c.wait_consume(&VClock::new(), 1, Duration::from_millis(30));
+        c.wait_consume(
+            &VClock::new(),
+            1,
+            Duration::from_millis(30),
+            &Tracer::default(),
+        );
     }
 
     #[test]

@@ -207,6 +207,7 @@ pub struct Engine {
 impl Engine {
     pub(crate) fn new(adapter: Adapter<LapiBody>, mode: Mode, escape: Duration) -> Arc<Self> {
         let n = adapter.nodes();
+        let cmpl_q = TimedQueue::with_escape(escape).with_tracer(adapter.tracer().clone());
         Arc::new(Engine {
             adapter,
             space: Mutex::new(AddressSpace::new()),
@@ -222,7 +223,7 @@ impl Engine {
             next_ticket: AtomicU64::new(1),
             mode: Mutex::new(mode),
             mode_cv: SimCondvar::new(),
-            cmpl_q: TimedQueue::with_escape(escape),
+            cmpl_q,
             stats: LapiStats::default(),
             escape,
             terminated: AtomicBool::new(false),
@@ -327,7 +328,7 @@ impl Engine {
             self.cmpl_q.len(),
             self.clock().now().as_ns(),
             self.adapter.flows_report(),
-            trace::tail_report(trace::REPORT_TAIL)
+            self.adapter.tracer().tail_report(trace::REPORT_TAIL)
         )
     }
 
@@ -1801,7 +1802,9 @@ impl Engine {
     /// `LAPI_Waitcntr` with mode-appropriate progress.
     pub(crate) fn wait_counter(&self, c: &Counter, val: i64) {
         match self.mode() {
-            Mode::Interrupt => c.wait_consume(self.clock(), val, self.escape),
+            Mode::Interrupt => {
+                c.wait_consume(self.clock(), val, self.escape, self.adapter.tracer())
+            }
             Mode::Polling => {
                 let deadline = Instant::now() + self.escape;
                 // liveness: poll_step drives the dispatcher inline, so

@@ -47,9 +47,7 @@ impl SendReq {
     /// Block until the send completes (drives progress in polling mode).
     pub fn wait(&self) {
         match self.engine.mode() {
-            MplMode::Interrupt => self
-                .state
-                .wait_done(self.engine.clock(), self.engine.escape),
+            MplMode::Interrupt => self.state.wait_done(&self.engine),
             MplMode::Polling => {
                 let deadline = Instant::now() + self.engine.escape;
                 loop {
@@ -78,9 +76,7 @@ impl RecvReq {
     /// Block until the message is here; returns its data and status.
     pub fn wait(&self) -> (Vec<u8>, Status) {
         match self.engine.mode() {
-            MplMode::Interrupt => self
-                .state
-                .wait_done(self.engine.clock(), self.engine.escape),
+            MplMode::Interrupt => self.state.wait_done(&self.engine),
             MplMode::Polling => {
                 let deadline = Instant::now() + self.engine.escape;
                 loop {

@@ -91,9 +91,9 @@ impl RecvState {
         }
     }
 
-    pub(crate) fn wait_done(&self, clock: &VClock, escape: Duration) -> (Vec<u8>, Status) {
+    pub(crate) fn wait_done(&self, engine: &MplEngine) -> (Vec<u8>, Status) {
         let mut st = self.st.lock();
-        let deadline = Instant::now() + escape;
+        let deadline = Instant::now() + engine.escape;
         // liveness: the dispatcher thread sets st.done and notifies the
         // cv when the last fragment lands; wait_until escapes past the
         // real-time deadline into the diagnostic panic below.
@@ -102,11 +102,11 @@ impl RecvState {
                 panic!(
                     "MPL receive never completed — simulated deadlock \
                      (no matching send, or the sender stopped making progress?)\n{}",
-                    trace::tail_report(trace::REPORT_TAIL)
+                    engine.adapter.tracer().tail_report(trace::REPORT_TAIL)
                 );
             }
         }
-        clock.merge(st.done_at);
+        engine.clock().merge(st.done_at);
         (std::mem::take(&mut st.buf), st.status)
     }
 }
@@ -143,9 +143,9 @@ impl SendState {
         }
     }
 
-    pub(crate) fn wait_done(&self, clock: &VClock, escape: Duration) {
+    pub(crate) fn wait_done(&self, engine: &MplEngine) {
         let mut st = self.st.lock();
-        let deadline = Instant::now() + escape;
+        let deadline = Instant::now() + engine.escape;
         // liveness: the dispatcher thread marks the send complete (CTS
         // arrival / final ack) and notifies the cv; wait_until escapes
         // past the real-time deadline into the diagnostic panic below.
@@ -154,11 +154,11 @@ impl SendState {
                 panic!(
                     "MPL send never completed (no CTS?) — simulated deadlock \
                      (rendezvous needs the receiver to post and make progress)\n{}",
-                    trace::tail_report(trace::REPORT_TAIL)
+                    engine.adapter.tracer().tail_report(trace::REPORT_TAIL)
                 );
             }
         }
-        clock.merge(st.1);
+        engine.clock().merge(st.1);
     }
 }
 
@@ -346,7 +346,7 @@ impl MplEngine {
             st.rndv_sends.len(),
             self.adapter.rx().len(),
             self.clock().now().as_ns(),
-            trace::tail_report(trace::REPORT_TAIL)
+            self.adapter.tracer().tail_report(trace::REPORT_TAIL)
         );
         drop(st);
         report

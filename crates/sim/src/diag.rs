@@ -15,6 +15,13 @@
 //! * [`OrDiag::or_diag`] — drop-in replacement for `Option::expect` /
 //!   `Result::expect` that panics with the message *plus* the trace tail,
 //!   attributed to the caller's location.
+//!
+//! [`sim_panic!`] and [`OrDiag`] have no world at hand, so they show the
+//! tail of the trace session held by the panicking thread
+//! ([`crate::trace::tail_report`]) — on a pool worker or node thread that is
+//! none, and the report says so. Engines and the queues a world builds
+//! report through the world's own [`crate::trace::Tracer`] instead, which
+//! works on any thread.
 
 use std::fmt::Debug;
 

@@ -28,10 +28,10 @@
 //!   panic propagation.
 //! * [`SimRng`] — a tiny deterministic RNG (SplitMix64) used for route
 //!   selection and drop injection in the switch model.
-//! * [`trace`] — virtual-time event tracing: per-node ring buffers behind a
-//!   process-global [`trace::TraceSink`], drained by [`run_spmd`] into a
-//!   merged deterministic timeline. Disabled by default (one atomic load on
-//!   the hot path); powers the deadlock diagnostics and
+//! * [`trace`] — virtual-time event tracing: per-node ring buffers in one
+//!   [`trace::TraceSink`] per session, merged into a deterministic timeline
+//!   when the session finishes. Disabled by default (one branch on the hot
+//!   path); powers the deadlock diagnostics and
 //!   [`trace::TraceSink::assert_quiescent`].
 //! * [`diag`] — the diagnostic-panic discipline for engine hot paths
 //!   ([`sim_panic!`], [`OrDiag`]); enforced statically by `spsim-lint`.

@@ -25,6 +25,7 @@ use crate::clock::VClock;
 use crate::diag::OrDiag;
 use crate::sched::SimCondvar;
 use crate::time::VTime;
+use crate::trace::Tracer;
 
 /// Default real-time escape for blocking receives.
 pub const DEFAULT_ESCAPE: Duration = Duration::from_secs(30);
@@ -98,6 +99,7 @@ struct HeapState<T> {
 pub struct TimedQueue<T> {
     inner: Arc<Inner<T>>,
     escape: Duration,
+    tracer: Tracer,
 }
 
 impl<T> Clone for TimedQueue<T> {
@@ -105,6 +107,7 @@ impl<T> Clone for TimedQueue<T> {
         TimedQueue {
             inner: Arc::clone(&self.inner),
             escape: self.escape,
+            tracer: self.tracer.clone(),
         }
     }
 }
@@ -135,7 +138,15 @@ impl<T> TimedQueue<T> {
                 depth: AtomicUsize::new(0),
             }),
             escape,
+            tracer: Tracer::default(),
         }
+    }
+
+    /// The same queue, with escape diagnostics showing `tracer`'s event tail
+    /// (a world's queues carry the world's tracer; the default is untraced).
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
+        self
     }
 
     /// Enqueue `item` as an event occurring at virtual time `at`.
@@ -278,7 +289,7 @@ impl<T> TimedQueue<T> {
                     st.heap.len(),
                     st.closed,
                     clock.now().as_ns(),
-                    crate::trace::tail_report(crate::trace::REPORT_TAIL)
+                    self.tracer.tail_report(crate::trace::REPORT_TAIL)
                 );
             }
         }
@@ -340,7 +351,7 @@ impl<T> TimedQueue<T> {
                     self.escape,
                     st.heap.len(),
                     st.closed,
-                    crate::trace::tail_report(crate::trace::REPORT_TAIL)
+                    self.tracer.tail_report(crate::trace::REPORT_TAIL)
                 );
             }
         }

@@ -126,12 +126,8 @@ where
 ///
 /// Under the default pooled scheduler each node is a cooperative task;
 /// under `SPSIM_SCHED=threads` each node is an OS thread, as before the
-/// M:N runtime. Same seed ⇒ same results and traces under either mode and
-/// any worker count (asserted by the determinism suite).
-///
-/// When event tracing is active (see [`crate::trace::session`]), the
-/// per-node ring buffers are drained into the global sink's merged timeline
-/// once every node has finished.
+/// M:N runtime. Same seed ⇒ same results and event timelines under either
+/// mode and any worker count (asserted by the determinism suite).
 ///
 /// # Panics
 /// Propagates the first node panic once every node has terminated.
@@ -169,7 +165,6 @@ where
             outcomes
         }
     };
-    crate::trace::TraceSink::global().seal();
     collect_or_panic(outcomes)
 }
 
@@ -219,7 +214,6 @@ where
             outcomes
         }
     };
-    crate::trace::TraceSink::global().seal();
     collect_or_panic(outcomes)
 }
 

@@ -38,6 +38,7 @@ use crate::clock::VClock;
 use crate::queue::{QueueClosed, Stamped, TimedQueue, DEFAULT_ESCAPE};
 use crate::sched::SimCondvar;
 use crate::time::VTime;
+use crate::trace::Tracer;
 
 /// How long a producer spins on a full ring before yielding the CPU.
 const FULL_SPINS: u32 = 64;
@@ -182,6 +183,7 @@ impl<T> Drop for RingsInner<T> {
 pub struct DeliveryRings<T> {
     inner: Arc<RingsInner<T>>,
     escape: Duration,
+    tracer: Tracer,
 }
 
 impl<T> Clone for DeliveryRings<T> {
@@ -189,6 +191,7 @@ impl<T> Clone for DeliveryRings<T> {
         DeliveryRings {
             inner: Arc::clone(&self.inner),
             escape: self.escape,
+            tracer: self.tracer.clone(),
         }
     }
 }
@@ -219,7 +222,15 @@ impl<T: Send> DeliveryRings<T> {
                 waiters: AtomicUsize::new(0),
             }),
             escape,
+            tracer: Tracer::default(),
         }
+    }
+
+    /// The same queue, with escape diagnostics showing `tracer`'s event tail
+    /// (a world's queues carry the world's tracer; the default is untraced).
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.tracer = tracer;
+        self
     }
 
     /// Ring capacity per lane (after power-of-two rounding).
@@ -289,7 +300,7 @@ impl<T: Send> DeliveryRings<T> {
                         // ordering: SeqCst — diagnostic read of the shared counter.
                         inner.depth.load(Ordering::SeqCst),
                         inner.closed.load(Ordering::SeqCst),
-                        crate::trace::tail_report(crate::trace::REPORT_TAIL)
+                        self.tracer.tail_report(crate::trace::REPORT_TAIL)
                     );
                 }
             }
@@ -550,7 +561,7 @@ impl<T: Send> DeliveryRings<T> {
             inner.depth.load(Ordering::SeqCst),
             inner.closed.load(Ordering::SeqCst),
             clock.map_or(0, |c| c.now().as_ns()),
-            crate::trace::tail_report(crate::trace::REPORT_TAIL)
+            self.tracer.tail_report(crate::trace::REPORT_TAIL)
         );
     }
 }

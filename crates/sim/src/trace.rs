@@ -2,20 +2,18 @@
 //!
 //! Every protocol layer in the workspace (switch adapter, LAPI engine, MPL
 //! engine, Global Arrays backends) emits [`TraceEvent`]s on its hot paths
-//! through its world's [`Tracer`]. Events land in per-node ring buffers
-//! inside one process-global [`TraceSink`]; [`crate::run_spmd`] drains the
-//! rings when a job finishes, and [`TraceSession::finish`] hands back the
-//! merged, deterministically ordered [`Timeline`].
+//! through its world's [`Tracer`]. Events land in the per-node ring buffers
+//! of one session's [`TraceSink`], and [`TraceSession::finish`] hands back
+//! the merged, deterministically ordered [`Timeline`].
 //!
 //! Tracing is **disabled by default**. Open a [`TraceSession`] (see
 //! [`session`]) and build the world on the same thread: a world decides once,
 //! when its switch is built ([`Tracer::for_new_world`]), whether it records,
-//! and it records only into the session that was open on the building thread
-//! at that moment. A world built anywhere else never records, so a test
-//! running concurrently with a traced one cannot leak events into its
-//! timeline or its quiescence ledger. An untraced world's record path is one
-//! predictable branch. Sessions also serialize traced runs across test
-//! threads.
+//! and it records only into the sink of the session that was open on the
+//! building thread at that moment. Every session has a sink of its own, so
+//! traced runs on different threads proceed concurrently without seeing each
+//! other's events, and a world built anywhere else never records. An
+//! untraced world's record path is one predictable branch.
 //!
 //! Determinism: virtual time makes each node's event *multiset* at any
 //! `(vtime, node)` reproducible for a fixed seed, but OS scheduling can vary
@@ -29,12 +27,13 @@
 //! eviction; [`TraceSink::assert_quiescent`] uses them to flag messages that
 //! entered the switch but were never consumed by a protocol engine.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::runtime::NodeId;
 use crate::time::VTime;
@@ -215,11 +214,10 @@ impl NodeRing {
     }
 }
 
-/// The process-global event sink. Use [`TraceSink::global`] (or the
-/// module-level helpers) — there is exactly one per process.
+/// One session's event sink: per-node rings plus the quiescence ledger.
+/// [`session`] creates it empty; the worlds built under the session share it
+/// through their [`Tracer`], and it is freed with the last of them.
 pub struct TraceSink {
-    /// Id of the open session (0: none). Ids are never reused.
-    session: AtomicU64,
     rings: RwLock<Vec<Arc<NodeRing>>>,
     capacity: AtomicUsize,
     injected: AtomicU64,
@@ -228,49 +226,26 @@ pub struct TraceSink {
     acks: AtomicU64,
     dups: AtomicU64,
     written_off: AtomicU64,
-    sealed: Mutex<Vec<TraceEvent>>,
 }
 
-static SINK: TraceSink = TraceSink {
-    session: AtomicU64::new(0),
-    rings: RwLock::new(Vec::new()),
-    capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
-    injected: AtomicU64::new(0),
-    delivered: AtomicU64::new(0),
-    dropped_pkts: AtomicU64::new(0),
-    acks: AtomicU64::new(0),
-    dups: AtomicU64::new(0),
-    written_off: AtomicU64::new(0),
-    sealed: Mutex::new(Vec::new()),
-};
-
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
-/// Source of session ids.
-static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    /// Id of the session this thread holds (0: none). A [`TraceSession`]
-    /// is `!Send`, so the thread that opened it is the one that drops it.
-    static HELD_HERE: Cell<u64> = const { Cell::new(0) };
+    /// The sink of the session this thread holds. A [`TraceSession`] is
+    /// `!Send`, so the thread that opened it is the one that drops it.
+    static HELD_HERE: RefCell<Option<Arc<TraceSink>>> = const { RefCell::new(None) };
 }
 
 impl TraceSink {
-    /// The process-global sink.
-    pub fn global() -> &'static TraceSink {
-        &SINK
-    }
-
-    /// Is a trace session open?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.open_session() != 0
-    }
-
-    fn open_session(&self) -> u64 {
-        // ordering: a stale read only delays when recording starts/stops
-        // by a few events, which the session lock tolerates.
-        self.session.load(Ordering::Relaxed)
+    fn new() -> Self {
+        TraceSink {
+            rings: RwLock::new(Vec::new()),
+            capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
+            injected: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+            dropped_pkts: AtomicU64::new(0),
+            acks: AtomicU64::new(0),
+            dups: AtomicU64::new(0),
+            written_off: AtomicU64::new(0),
+        }
     }
 
     #[cold]
@@ -311,13 +286,13 @@ impl TraceSink {
             bytes,
             seq,
         };
-        // ordering: capacity is configured before a session starts; a stale
-        // read can only mis-size the ring by a few events.
+        // ordering: capacity is configured before the traced job starts; a
+        // stale read can only mis-size the ring by a few events.
         let cap = self.capacity.load(Ordering::Relaxed).max(1);
         let mut q = ring.events.lock();
         if q.len() >= cap {
             q.pop_front();
-            // ordering: eviction tally, read after the session seals.
+            // ordering: eviction tally, read after the traced threads join.
             ring.evicted.fetch_add(1, Ordering::Relaxed);
         }
         q.push_back(ev);
@@ -337,13 +312,23 @@ impl TraceSink {
         Arc::clone(&rings[node])
     }
 
-    /// Number of packets injected into the switch since the last reset.
+    /// Every buffered event, in deterministic merged order.
+    fn merged(&self) -> Vec<TraceEvent> {
+        let mut events = Vec::new();
+        for ring in self.rings.read().iter() {
+            events.extend(ring.events.lock().iter().copied());
+        }
+        events.sort_by_key(TraceEvent::key);
+        events
+    }
+
+    /// Number of packets injected into the switch in this session.
     pub fn injected(&self) -> u64 {
         // ordering: stat read; exact only once the traced threads joined.
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Number of packets consumed by a protocol engine since the last reset.
+    /// Number of packets consumed by a protocol engine in this session.
     pub fn delivered(&self) -> u64 {
         // ordering: stat read; exact only once the traced threads joined.
         self.delivered.load(Ordering::Relaxed)
@@ -370,23 +355,21 @@ impl TraceSink {
         self.written_off.load(Ordering::Relaxed)
     }
 
-    /// Packets the fabric genuinely dropped (data or ACKs) since the last
-    /// reset. By construction every drop costs the sender exactly one
+    /// Packets the fabric genuinely dropped (data or ACKs) in this session.
+    /// By construction every drop costs the sender exactly one
     /// retransmission round.
     pub fn fabric_drops(&self) -> u64 {
         // ordering: stat read; exact only once the traced threads joined.
         self.dropped_pkts.load(Ordering::Relaxed)
     }
 
-    /// Wire acknowledgements charged by receiving adapters since the last
-    /// reset.
+    /// Wire acknowledgements charged by receiving adapters in this session.
     pub fn acks(&self) -> u64 {
         // ordering: stat read; exact only once the traced threads joined.
         self.acks.load(Ordering::Relaxed)
     }
 
-    /// Duplicate copies suppressed by receiving adapters since the last
-    /// reset.
+    /// Duplicate copies suppressed by receiving adapters in this session.
     pub fn dups_suppressed(&self) -> u64 {
         // ordering: stat read; exact only once the traced threads joined.
         self.dups.load(Ordering::Relaxed)
@@ -413,39 +396,19 @@ impl TraceSink {
         }
     }
 
-    /// Move everything currently buffered in the per-node rings into the
-    /// sealed timeline, in deterministic merged order. Called by
-    /// [`crate::run_spmd`] when any job finishes, which may be in the middle
-    /// of a traced job on another thread; the merged order is kept whole.
-    pub fn seal(&self) {
-        if !self.enabled() {
-            return;
-        }
-        let mut batch = Vec::new();
-        let rings = self.rings.read();
-        for ring in rings.iter() {
-            batch.extend(ring.events.lock().drain(..));
-        }
-        drop(rings);
-        let mut sealed = self.sealed.lock();
-        sealed.extend(batch);
-        sealed.sort_by_key(TraceEvent::key);
-    }
-
-    /// Events evicted from full rings since the last reset (0 means the
-    /// timeline is complete).
+    /// Events evicted from full rings in this session (0 means the timeline
+    /// is complete).
     pub fn evicted(&self) -> u64 {
         self.rings
             .read()
             .iter()
-            // ordering: stat read; exact only after the session seals.
+            // ordering: stat read; exact only once the traced threads joined.
             .map(|r| r.evicted.load(Ordering::Relaxed))
             .sum()
     }
 
     /// A human-readable report of the last `n` merged events plus the
-    /// in-flight counters. Used by deadlock diagnostics; works (with a hint
-    /// instead of events) when tracing is disabled.
+    /// in-flight counters. Used by deadlock diagnostics.
     pub fn tail_report(&self, n: usize) -> String {
         use fmt::Write as _;
         let mut out = String::new();
@@ -457,23 +420,11 @@ impl TraceSink {
             self.delivered(),
             self.written_off(),
             self.in_flight(),
-            // ordering: best-effort snapshot inside a diagnostic report.
-            self.dropped_pkts.load(Ordering::Relaxed),
+            self.fabric_drops(),
             self.acks(),
             self.dups_suppressed(),
         );
-        if !self.enabled() {
-            out.push_str(
-                "(event tracing disabled — wrap the run in spsim::trace::session() \
-                 to capture a virtual-time timeline)",
-            );
-            return out;
-        }
-        let mut events: Vec<TraceEvent> = self.sealed.lock().clone();
-        for ring in self.rings.read().iter() {
-            events.extend(ring.events.lock().iter().copied());
-        }
-        events.sort_by_key(TraceEvent::key);
+        let events = self.merged();
         let start = events.len().saturating_sub(n);
         let _ = writeln!(
             out,
@@ -487,56 +438,45 @@ impl TraceSink {
         out
     }
 
-    /// Clear all buffered events and reset the counters.
-    pub fn reset(&self) {
-        let rings = self.rings.read();
-        for ring in rings.iter() {
-            ring.events.lock().clear();
-            // ordering: reset runs with no traced threads alive (session
-            // lock held, recording disabled) — no concurrent accesses race.
-            ring.next_seq.store(0, Ordering::Relaxed);
-            ring.evicted.store(0, Ordering::Relaxed);
-        }
-        drop(rings);
-        self.sealed.lock().clear();
-        // ordering: see above — reset is quiescent by construction.
-        self.injected.store(0, Ordering::Relaxed);
-        self.delivered.store(0, Ordering::Relaxed);
-        self.dropped_pkts.store(0, Ordering::Relaxed);
-        self.acks.store(0, Ordering::Relaxed);
-        self.dups.store(0, Ordering::Relaxed);
-        self.written_off.store(0, Ordering::Relaxed);
-    }
-
-    /// Set the per-node ring capacity (events kept before eviction).
+    /// Set the per-node ring capacity (events kept before eviction) for
+    /// the rest of this session.
     pub fn set_capacity(&self, cap: usize) {
-        // ordering: configuration knob, set before a session starts.
+        // ordering: configuration knob, set before the traced job starts.
         self.capacity.store(cap.max(1), Ordering::Relaxed);
     }
 }
 
-/// Is a trace session open (on any thread)?
-#[inline]
-pub fn enabled() -> bool {
-    SINK.enabled()
+/// What a diagnostic shows in place of the event tail when no session
+/// records the failing world.
+fn untraced_report() -> String {
+    "-- trace: none --\n(event tracing disabled — open spsim::trace::session() on the \
+     thread that builds the world to capture a virtual-time timeline)"
+        .to_string()
 }
 
-/// A world's route into the sink, decided once when the world is built and
-/// carried by its adapters; protocol layers emit through their adapter's
-/// tracer.
-#[derive(Debug, Clone, Copy, Default)]
+/// A world's route into its session's sink, decided once when the world is
+/// built and carried by its adapters; protocol layers emit through their
+/// adapter's tracer.
+#[derive(Clone, Default)]
 pub struct Tracer {
-    /// The session this world records into (0: never records).
-    session: u64,
+    /// The sink this world records into (`None`: never records).
+    sink: Option<Arc<TraceSink>>,
+}
+
+impl fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tracer")
+            .field("traced", &self.sink.is_some())
+            .finish()
+    }
 }
 
 impl Tracer {
     /// The tracer for a world being built on the calling thread: it records
-    /// into the session this thread holds, if any, and only while that
-    /// session stays open.
+    /// into the sink of the session this thread holds, if any.
     pub fn for_new_world() -> Tracer {
         Tracer {
-            session: HELD_HERE.with(Cell::get),
+            sink: HELD_HERE.with(|h| h.borrow().clone()),
         }
     }
 
@@ -551,15 +491,25 @@ impl Tracer {
         msg_id: u64,
         bytes: usize,
     ) {
-        if self.session != 0 && self.session == SINK.open_session() {
-            SINK.record(node, vtime, kind, detail, msg_id, bytes);
+        if let Some(sink) = &self.sink {
+            sink.record(node, vtime, kind, detail, msg_id, bytes);
         }
+    }
+
+    /// [`TraceSink::tail_report`] for this world's sink, or a hint when the
+    /// world is untraced. Works on any thread, including pool workers.
+    pub fn tail_report(&self, n: usize) -> String {
+        self.sink
+            .as_ref()
+            .map_or_else(untraced_report, |sink| sink.tail_report(n))
     }
 }
 
-/// Shorthand for [`TraceSink::tail_report`] on the global sink.
+/// [`TraceSink::tail_report`] for the session the calling thread holds, or
+/// a hint when it holds none. Diagnostics with a world at hand use
+/// [`Tracer::tail_report`] instead.
 pub fn tail_report(n: usize) -> String {
-    SINK.tail_report(n)
+    Tracer::for_new_world().tail_report(n)
 }
 
 /// The merged, deterministically ordered event timeline of a traced run.
@@ -589,57 +539,64 @@ impl Timeline {
     }
 }
 
-/// RAII handle for a traced run: holding it enables recording, dropping it
-/// disables recording and clears the sink. Only one session exists at a time
-/// (others block), so concurrent tests cannot interleave timelines.
+/// RAII handle for a traced run: while it is held, worlds built on this
+/// thread record into its own, initially empty [`TraceSink`]. A thread holds
+/// at most one session; sessions on different threads are independent.
 pub struct TraceSession {
-    _lock: MutexGuard<'static, ()>,
+    sink: Arc<TraceSink>,
+    /// `!Send`: the session must end on the thread whose slot it fills.
+    _not_send: PhantomData<*const ()>,
 }
 
-/// Start a traced run: acquires the global session lock, resets the sink and
-/// enables recording for worlds built on this thread until the session ends.
+/// Start a traced run on this thread with a fresh sink.
+///
+/// # Panics
+/// If this thread already holds an open session.
 pub fn session() -> TraceSession {
-    let lock = SESSION_LOCK.lock();
-    SINK.reset();
-    // ordering: ids only need to be unique; the lock orders sessions.
-    let id = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
-    HELD_HERE.with(|h| h.set(id));
-    // ordering: SeqCst fences the reset above against the first recorded
-    // event on any thread spawned after session() returns.
-    SINK.session.store(id, Ordering::SeqCst);
-    TraceSession { _lock: lock }
+    let sink = Arc::new(TraceSink::new());
+    HELD_HERE.with(|h| {
+        let mut held = h.borrow_mut();
+        assert!(
+            held.is_none(),
+            "a trace session is already open on this thread"
+        );
+        *held = Some(Arc::clone(&sink));
+    });
+    TraceSession {
+        sink,
+        _not_send: PhantomData,
+    }
 }
 
 impl TraceSession {
-    /// Stop tracing and return the merged timeline of everything recorded
-    /// during the session.
+    /// End the session and return the merged timeline of everything
+    /// recorded during it.
     pub fn finish(self) -> Timeline {
-        SINK.seal();
-        let events = std::mem::take(&mut *SINK.sealed.lock());
-        let evicted = SINK.evicted();
-        Timeline { events, evicted }
-        // `self` drops here: disables recording and clears the sink.
+        Timeline {
+            events: self.sink.merged(),
+            evicted: self.sink.evicted(),
+        }
     }
 
-    /// The global sink, for counter checks mid-session.
-    pub fn sink(&self) -> &'static TraceSink {
-        &SINK
+    /// This session's sink, for counter checks mid-session.
+    pub fn sink(&self) -> &TraceSink {
+        &self.sink
     }
 }
 
 impl Drop for TraceSession {
     fn drop(&mut self) {
-        HELD_HERE.with(|h| h.set(0));
-        // ordering: SeqCst fences disabling against the reset that follows,
-        // so a straggler record cannot land in a cleared sink.
-        SINK.session.store(0, Ordering::SeqCst);
-        SINK.reset();
+        HELD_HERE.with(|h| h.borrow_mut().take());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn held_here() -> bool {
+        HELD_HERE.with(|h| h.borrow().is_some())
+    }
 
     #[test]
     fn disabled_by_default_and_record_is_noop() {
@@ -690,7 +647,7 @@ mod tests {
         assert_eq!(t.evicted, 0);
         let text = t.render();
         assert!(text.contains("inject"), "render lists kinds: {text}");
-        assert_eq!(HELD_HERE.with(Cell::get), 0, "finish() ends the session");
+        assert!(!held_here(), "finish() ends the session");
     }
 
     #[test]
@@ -722,19 +679,53 @@ mod tests {
             tr.emit(0, VTime::from_us(i), EventKind::Note, "n", i, 0);
         }
         let t = s.finish();
-        SINK.set_capacity(DEFAULT_RING_CAPACITY);
         assert_eq!(t.events.len(), 4);
         assert_eq!(t.evicted, 6);
         assert_eq!(t.events[0].msg_id, 6, "oldest events were evicted");
     }
 
     #[test]
+    fn capacity_does_not_leak_into_the_next_session() {
+        let a = session();
+        a.sink().set_capacity(4);
+        a.finish();
+        let b = session();
+        let tr = Tracer::for_new_world();
+        for i in 0..10u64 {
+            tr.emit(0, VTime::from_us(i), EventKind::Note, "n", i, 0);
+        }
+        let t = b.finish();
+        assert_eq!(t.evicted, 0, "a new session starts at the default capacity");
+        assert_eq!(t.events.len(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "a trace session is already open on this thread")]
+    fn nested_session_on_one_thread_panics() {
+        let _outer = session();
+        let _inner = session();
+    }
+
+    #[test]
+    fn nested_session_panic_keeps_the_outer_one() {
+        let outer = session();
+        let tr = Tracer::for_new_world();
+        let nested = std::panic::catch_unwind(session);
+        assert!(nested.is_err(), "a second session must be refused");
+        tr.emit(0, VTime::from_us(1), EventKind::Inject, "pkt", 1, 64);
+        assert_eq!(outer.sink().injected(), 1);
+        assert_eq!(
+            Tracer::for_new_world().tail_report(8),
+            outer.sink().tail_report(8)
+        );
+    }
+
+    #[test]
     fn tail_report_hints_when_disabled() {
-        // Hold the session lock directly (no session => recording disabled)
-        // so concurrently running session tests cannot flip `enabled` on us.
-        let _g = SESSION_LOCK.lock();
         let r = tail_report(8);
+        assert!(r.contains("-- trace: none --"), "got: {r}");
         assert!(r.contains("tracing disabled"), "got: {r}");
-        assert!(r.contains("in-flight"), "counters always shown: {r}");
+        assert!(r.contains("thread that builds the world"), "got: {r}");
+        assert_eq!(Tracer::default().tail_report(8), r);
     }
 }

@@ -56,11 +56,12 @@
 //! the protocol is pay-for-what-you-use: no ACK traffic, no extra RNG draws,
 //! and timings identical to a fabric that cannot fail.
 //!
-//! When [`spsim::trace`] is enabled, sends emit wire-level events: `inject`
-//! (on the sender, `msg_id` = destination), `drop`/`retransmit` per failed
-//! round (a drop may be the data packet or its ACK — see the event detail),
-//! `eject` (on the destination at delivery, `msg_id` = source), plus `ack`,
-//! `dup` and `flow-stall` for the protocol itself. Every event goes through
+//! When the world is traced ([`spsim::trace`]), sends emit wire-level
+//! events: `inject` (on the sender, `msg_id` = destination),
+//! `drop`/`retransmit` per failed round (a drop may be the data packet or
+//! its ACK — see the event detail), `eject` (on the destination at
+//! delivery, `msg_id` = source), plus `ack`, `dup` and `flow-stall` for the
+//! protocol itself. Every event goes through
 //! the adapter's [`Tracer`], which its `Network` chose once for the whole
 //! world. Protocol engines emit the matching `deliver` through the same
 //! tracer when they consume the packet, which is what
@@ -800,7 +801,7 @@ impl<M: Send + Clone + 'static> Adapter<M> {
                         flow.tx_acked,
                         flow.rx_next,
                         flow.pending_acks,
-                        trace::tail_report(trace::REPORT_TAIL)
+                        self.tracer.tail_report(trace::REPORT_TAIL)
                     ),
                 });
             }

@@ -15,11 +15,16 @@ pub struct Network<M> {
 impl<M: Send + Clone + 'static> Network<M> {
     /// Wire up `n` nodes with the given cost model. `seed` drives route
     /// selection and drop injection deterministically. The world records
-    /// trace events only if the calling thread holds the open
-    /// [`spsim::trace::session`].
+    /// trace events into the sink of the [`spsim::trace::session`] the
+    /// calling thread holds, if any; its adapters and receive queues carry
+    /// that route, so deadlock reports show this world's event tail on
+    /// whichever thread they fire.
     pub fn new(n: usize, cfg: Arc<MachineConfig>, seed: u64) -> Self {
         assert!(n > 0, "a switch needs at least one node");
         assert!(cfg.num_routes > 0, "need at least one route");
+        // Decided once: this world records only if the thread building it
+        // holds a trace session.
+        let tracer = Tracer::for_new_world();
         let ports: Arc<Vec<Port<M>>> = Arc::new(
             (0..n)
                 .map(|_| Port {
@@ -29,19 +34,19 @@ impl<M: Send + Clone + 'static> Network<M> {
                     // lane, which is what lets the ring path skip the heap
                     // lock on push (DESIGN §4.2).
                     rx: match cfg.delivery_path {
-                        DeliveryPath::Rings => {
-                            DeliveryQueue::Rings(DeliveryRings::new(n, cfg.delivery_ring_capacity))
+                        DeliveryPath::Rings => DeliveryQueue::Rings(
+                            DeliveryRings::new(n, cfg.delivery_ring_capacity)
+                                .with_tracer(tracer.clone()),
+                        ),
+                        DeliveryPath::Heap => {
+                            DeliveryQueue::Heap(TimedQueue::new().with_tracer(tracer.clone()))
                         }
-                        DeliveryPath::Heap => DeliveryQueue::Heap(TimedQueue::new()),
                     },
                     stats: AdapterStats::default(),
                 })
                 .collect(),
         );
         let mut root = SimRng::new(seed);
-        // Decided once: this world records only if the thread building it
-        // holds the open trace session.
-        let tracer = Tracer::for_new_world();
         let adapters = (0..n)
             .map(|id| {
                 Adapter::new(
@@ -49,7 +54,7 @@ impl<M: Send + Clone + 'static> Network<M> {
                     Arc::clone(&cfg),
                     Arc::clone(&ports),
                     root.split(),
-                    tracer,
+                    tracer.clone(),
                 )
             })
             .collect();

@@ -2,7 +2,7 @@
 //! when the network misbehaves — packet loss plus multi-route reordering —
 //! and when a program genuinely deadlocks.
 //!
-//! Four guarantees are pinned here:
+//! Five guarantees are pinned here:
 //!
 //! 1. an `amsend` large enough to stripe across many packets reassembles
 //!    correctly under loss + out-of-order routes, and the wire-level
@@ -11,15 +11,18 @@
 //! 2. the merged timeline is *virtually deterministic*: the same seed
 //!    renders to byte-identical text, however the host schedules threads;
 //! 3. a simulated deadlock dies with a diagnostic report (engine state +
-//!    event tail), not a bare panic;
+//!    event tail), not a bare panic — also when the wait that escapes runs
+//!    on a thread that holds no session;
 //! 4. a world built off the session thread never records, even while it
-//!    runs alongside a traced one.
+//!    runs alongside a traced one;
+//! 5. sessions on different threads are independent: two traced worlds
+//!    running at once each get exactly their solo timeline.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use lapi_sp::lapi::{HdrOutcome, LapiContext, LapiWorld, Mode};
-use lapi_sp::sim::trace::{self, EventKind};
+use lapi_sp::sim::trace::{self, EventKind, Timeline};
 use lapi_sp::sim::{run_spmd_with, MachineConfig};
 
 /// Payload size chosen to span many switch packets (~1KB MTU ⇒ ~96 packets),
@@ -34,7 +37,7 @@ fn lossy_amsend_run(n: usize, seed: u64) -> Vec<u64> {
 }
 
 /// An `n`-node world for the lossy workload. It records trace events only
-/// if this thread holds the open trace session.
+/// if this thread holds a trace session.
 fn lossy_world(n: usize, seed: u64) -> Vec<LapiContext> {
     let cfg = MachineConfig::default().with_drop_prob(0.15);
     assert!(cfg.num_routes > 1, "reordering needs multiple routes");
@@ -86,6 +89,29 @@ fn lossy_amsend(ctxs: Vec<LapiContext>) -> Vec<u64> {
         ctx.gfence().expect("gfence");
         ctx.now().as_ns()
     })
+}
+
+/// The 2-node lossy workload in a session of its own on this thread, with
+/// ring capacity raised so no ring evicts. With `both_open`, the world
+/// starts only once every party's session is open.
+fn traced_lossy_run(seed: u64, both_open: Option<&Barrier>) -> Timeline {
+    let s = trace::session();
+    s.sink().set_capacity(1 << 20);
+    let ctxs = lossy_world(2, seed);
+    if let Some(b) = both_open {
+        b.wait();
+    }
+    lossy_amsend(ctxs);
+    s.sink().assert_quiescent();
+    s.finish()
+}
+
+/// The message of a caught panic.
+fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .expect("panic payload is a string")
 }
 
 #[test]
@@ -148,13 +174,7 @@ fn same_seed_yields_byte_identical_merged_trace() {
 #[test]
 fn untraced_world_alongside_a_traced_one_records_nothing() {
     // The traced 2-node run on its own, as the reference timeline.
-    let capture_solo = || {
-        let s = trace::session();
-        s.sink().set_capacity(1 << 20);
-        lossy_amsend_run(2, 0x5EED);
-        s.finish().render()
-    };
-    let solo = capture_solo();
+    let solo = traced_lossy_run(0x5EED, None).render();
 
     let s = trace::session();
     s.sink().set_capacity(1 << 20);
@@ -189,12 +209,7 @@ fn untraced_world_alongside_a_traced_one_records_nothing() {
 fn different_seeds_change_the_timeline() {
     // Sanity check on the previous test: the renderer is not just collapsing
     // everything to the same string.
-    let capture = |seed| {
-        let s = trace::session();
-        s.sink().set_capacity(1 << 20);
-        lossy_amsend_run(2, seed);
-        s.finish().render()
-    };
+    let capture = |seed| traced_lossy_run(seed, None).render();
     assert_ne!(capture(1), capture(2), "route/drop seed must shift timings");
 }
 
@@ -226,12 +241,7 @@ fn deadlock_dies_with_a_diagnostic_report_not_a_bare_panic() {
             }
         });
     }));
-    let err = result.expect_err("the run must deadlock");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .expect("panic payload is a string");
+    let msg = panic_message(result.expect_err("the run must deadlock"));
     assert!(
         msg.contains("simulated deadlock"),
         "kept the classic marker: {msg}"
@@ -247,5 +257,72 @@ fn deadlock_dies_with_a_diagnostic_report_not_a_bare_panic() {
         msg.contains("inject"),
         "tail should show the orphaned inject: {msg}"
     );
-    drop(s); // session resets the sink for the next test
+    drop(s);
+}
+
+#[test]
+fn interrupt_mode_waitcntr_escape_shows_the_worlds_tail() {
+    // Interrupt mode: rank 1 blocks in the counter wait itself, on a node
+    // task that holds no session, so only the world's own tracer can put
+    // the event tail into the report.
+    let s = trace::session();
+    let ctxs = LapiWorld::init_full(
+        2,
+        MachineConfig::default(),
+        Mode::Interrupt,
+        7,
+        Duration::from_millis(300),
+    );
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_spmd_with(ctxs, |rank, ctx| {
+            let buf = ctx.alloc(8);
+            let addrs = ctx.address_init(buf);
+            let tgt = ctx.new_counter();
+            let remotes = ctx.counter_init(&tgt);
+            if rank == 0 {
+                let org = ctx.new_counter();
+                ctx.put(1, addrs[1], &[1u8; 8], Some(remotes[1]), Some(&org), None)
+                    .unwrap();
+                ctx.waitcntr(&org, 1);
+            } else {
+                ctx.waitcntr(&tgt, 2); // only one put ever bumps it
+            }
+        });
+    }));
+    let msg = panic_message(result.expect_err("the wait must escape"));
+    assert!(
+        msg.contains("simulated deadlock"),
+        "kept the classic marker: {msg}"
+    );
+    assert!(msg.contains("last "), "missing event tail in: {msg}");
+    assert!(msg.contains("inject"), "tail should show the put: {msg}");
+    drop(s);
+}
+
+#[test]
+fn two_traced_worlds_at_once_keep_their_own_timelines() {
+    // Different seeds render different timelines, so a leak either way
+    // would show against the solo references.
+    let seeds = [0x5EED, 0xBAD_5EED];
+    let solo: Vec<String> = seeds
+        .iter()
+        .map(|&seed| traced_lossy_run(seed, None).render())
+        .collect();
+    let both_open = Arc::new(Barrier::new(seeds.len()));
+    let runs: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            let both_open = Arc::clone(&both_open);
+            std::thread::spawn(move || traced_lossy_run(seed, Some(&both_open)))
+        })
+        .collect();
+    for ((run, solo), seed) in runs.into_iter().zip(&solo).zip(seeds) {
+        let tl = run.join().expect("traced world");
+        assert_eq!(tl.evicted, 0);
+        assert_eq!(
+            &tl.render(),
+            solo,
+            "seed {seed:#x}: the timeline is this world's alone"
+        );
+    }
 }
