@@ -264,9 +264,7 @@ fn crash_replay_is_byte_identical_under_pooled_scheduler() {
 
 /// The SPSC delivery rings are a drop-in replacement for the legacy
 /// `TimedQueue` delivery path: within the deterministic envelope a
-/// same-seed run must produce a byte-identical trace through either path,
-/// regardless of which one `SPSIM_DELIVERY` selects for the rest of the
-/// suite.
+/// same-seed run must produce a byte-identical trace through either path.
 #[test]
 fn legacy_heap_and_spsc_ring_paths_produce_byte_identical_traces() {
     let heap = run_once_on(MachineConfig::default().with_delivery_path(DeliveryPath::Heap));

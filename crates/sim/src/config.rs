@@ -19,25 +19,13 @@ use crate::time::VDur;
 /// order, byte-identically under the same seed (asserted by
 /// `crates/lapi/tests/determinism.rs`); they differ only in wall-clock
 /// cost. Selectable per config so A/B tests and the benchmark baseline can
-/// pin either path, and via `SPSIM_DELIVERY=heap|rings` for whole-suite
-/// sweeps (mirroring `SPSIM_FAULT_PROFILE`).
+/// pin either path; the default is [`DeliveryPath::Rings`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliveryPath {
     /// SPSC circular rings per source lane (the fast path, default).
     Rings,
     /// The legacy mutex-protected timestamp heap (`TimedQueue`).
     Heap,
-}
-
-impl DeliveryPath {
-    /// Read `SPSIM_DELIVERY` from the environment; unset or unrecognized
-    /// values select the default fast path.
-    pub fn from_env() -> Self {
-        match std::env::var("SPSIM_DELIVERY").as_deref() {
-            Ok("heap") | Ok("legacy") => DeliveryPath::Heap,
-            _ => DeliveryPath::Rings,
-        }
-    }
 }
 
 /// Cost model and hardware parameters of the simulated RS/6000 SP.
@@ -224,7 +212,7 @@ impl Default for MachineConfig {
             max_retransmits: 64,
             ack_every: 4,
             ack_delay: VDur::from_us(100),
-            delivery_path: DeliveryPath::from_env(),
+            delivery_path: DeliveryPath::Rings,
             delivery_ring_capacity: 4096,
 
             lapi_put_issue: VDur::from_us(16),
@@ -365,9 +353,8 @@ impl MachineConfig {
             || !self.faults.is_empty()
     }
 
-    /// Builder-style: pin the delivery-queue implementation, overriding the
-    /// env-selected default (A/B determinism tests and the benchmark
-    /// baseline use this).
+    /// Builder-style: pin the delivery-queue implementation (A/B
+    /// determinism tests and the benchmark baseline use this).
     pub fn with_delivery_path(mut self, path: DeliveryPath) -> Self {
         self.delivery_path = path;
         self

@@ -47,7 +47,12 @@ pub fn run(
     out
 }
 
-fn line_text<'a>(lines: &'a BTreeMap<String, Vec<String>>, path: &str, line: u32) -> &'a str {
+/// Source text of `path:line`, or `""` when unknown.
+pub(crate) fn line_text<'a>(
+    lines: &'a BTreeMap<String, Vec<String>>,
+    path: &str,
+    line: u32,
+) -> &'a str {
     lines
         .get(path)
         .and_then(|v| v.get(line as usize - 1))
@@ -193,11 +198,6 @@ fn taint_chain(
 
 // --------------------------------------------------------------------- A2
 
-/// One acquired-while-held edge with its first-seen witness.
-struct Edge {
-    witness: Vec<Hop>,
-}
-
 /// Lock-order inversion. Build the acquired-while-held graph across
 /// function boundaries (a call made with guard `a` held contributes edges
 /// `a → l` for every lock `l` the callee can transitively take), then flag
@@ -230,36 +230,24 @@ fn rule_a2(ws: &Workspace, out: &mut Vec<Finding>) {
         }
     }
     let named = |l: &str| !l.ends_with(":?");
-    let mut edges: BTreeMap<(String, String), Edge> = BTreeMap::new();
+    // Each acquired-while-held edge with its first-seen witness.
+    let mut edges: BTreeMap<(String, String), Vec<Hop>> = BTreeMap::new();
     for (i, f) in ws.fns.iter().enumerate() {
-        // Direct nested acquisitions.
+        // Direct nested acquisitions. A self-edge from a literal
+        // re-acquisition is still a deadlock; it is recorded too.
         for acq in &f.acquires {
             for h in &acq.held {
-                if h.lock == acq.lock || !named(&h.lock) || !named(&acq.lock) {
-                    // A self-edge from a literal re-acquisition is still a
-                    // deadlock; record it.
-                    if h.lock == acq.lock && named(&h.lock) {
-                        edges
-                            .entry((h.lock.clone(), acq.lock.clone()))
-                            .or_insert_with(|| Edge {
-                                witness: vec![Hop {
-                                    label: f.label(),
-                                    path: f.path.clone(),
-                                    line: acq.line,
-                                }],
-                            });
-                    }
-                    continue;
+                if named(&h.lock) && named(&acq.lock) {
+                    edges
+                        .entry((h.lock.clone(), acq.lock.clone()))
+                        .or_insert_with(|| {
+                            vec![Hop {
+                                label: f.label(),
+                                path: f.path.clone(),
+                                line: acq.line,
+                            }]
+                        });
                 }
-                edges
-                    .entry((h.lock.clone(), acq.lock.clone()))
-                    .or_insert_with(|| Edge {
-                        witness: vec![Hop {
-                            label: f.label(),
-                            path: f.path.clone(),
-                            line: acq.line,
-                        }],
-                    });
             }
         }
         // Calls made while holding: edge to everything the callee can take.
@@ -276,7 +264,7 @@ fn rule_a2(ws: &Workspace, out: &mut Vec<Finding>) {
                             line: site.line,
                         }];
                         w.extend(acquire_chain(ws, c, l, &trans));
-                        Edge { witness: w }
+                        w
                     });
                 }
             }
@@ -288,7 +276,7 @@ fn rule_a2(ws: &Workspace, out: &mut Vec<Finding>) {
         adj.entry(from.as_str()).or_default().push(to.as_str());
     }
     let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-    for ((from, to), edge) in &edges {
+    for ((from, to), witness) in &edges {
         let cycle = if from == to {
             Some(vec![from.clone()])
         } else {
@@ -305,7 +293,7 @@ fn rule_a2(ws: &Workspace, out: &mut Vec<Finding>) {
         if !reported.insert(key) {
             continue;
         }
-        let site = &edge.witness[0];
+        let site = &witness[0];
         let kind = if from == to {
             format!("lock `{from}` re-acquired while already held")
         } else {
@@ -320,7 +308,7 @@ fn rule_a2(ws: &Workspace, out: &mut Vec<Finding>) {
             path: site.path.clone(),
             line: site.line,
             msg: kind,
-            witness: edge.witness.clone(),
+            witness: witness.clone(),
         });
     }
 }
@@ -418,8 +406,8 @@ fn rule_a3(ws: &Workspace, out: &mut Vec<Finding>) {
         seen.insert(e);
         while let Some(f) = q.pop_front() {
             let info = &ws.fns[f];
-            if !info.probes.is_empty() && !info.has_liveness && flagged.insert(f) {
-                let probe = &info.probes[0];
+            let probe = info.first_probe();
+            if let Some(probe) = probe.filter(|_| !info.has_liveness && flagged.insert(f)) {
                 let mut chain = vec![(f, probe.line)];
                 let mut cur = f;
                 while cur != e {

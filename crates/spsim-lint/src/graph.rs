@@ -70,14 +70,13 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Build the table from per-file parse results: `(real path,
-    /// effective path, parsed)`.
-    pub fn build(files: Vec<(String, String, ParsedFile)>) -> Self {
+    /// Build the table from per-file parse results.
+    pub fn build(files: Vec<ParsedFile>) -> Self {
         let mut fns = Vec::new();
         let mut spawns = Vec::new();
-        for (real, effective, parsed) in files {
+        for parsed in files {
             if !parsed.spawns.is_empty() {
-                spawns.push((real, effective, parsed.spawns));
+                spawns.push((parsed.path, parsed.effective, parsed.spawns));
             }
             fns.extend(parsed.fns);
         }

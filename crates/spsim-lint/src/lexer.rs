@@ -1,13 +1,16 @@
 //! A small Rust lexer: just enough to tokenize the workspace sources with
 //! line numbers, keep comments separate, and never mistake the inside of a
 //! string literal for code. Handles line and (nested) block comments,
-//! plain / raw / byte strings, char-vs-lifetime disambiguation, and
-//! numeric literals. Everything else is a one-character punct token.
+//! plain / raw / byte strings, raw identifiers, char-vs-lifetime
+//! disambiguation, and numeric literals. Everything else is a
+//! one-character punct token. The token helpers every rule shares
+//! (`ident`, `is_punct`, `matching`) live here too.
 
 /// One lexical token (comments are reported separately).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
-    /// An identifier or keyword.
+    /// An identifier or keyword. A raw identifier keeps its `r#` prefix,
+    /// so `r#loop` never reads as the keyword it spells.
     Ident(String),
     /// A single punctuation character (`::` arrives as two `:` tokens).
     Punct(char),
@@ -43,6 +46,17 @@ impl Lexed {
             .filter(|(_, t)| t.contains(needle))
             .map(|(l, _)| *l)
             .collect()
+    }
+
+    /// Does a comment containing `marker` sit on `line`, or in the comment
+    /// block that ends directly above it? Contiguity, not a fixed distance,
+    /// so multi-line explanations stay legal.
+    pub(crate) fn marks(&self, line: u32, marker: &str) -> bool {
+        let commented = |l: u32| self.comments.iter().any(|(c, _)| *c == l);
+        self.comments
+            .iter()
+            .filter(|(_, t)| t.contains(marker))
+            .any(|(c, _)| *c == line || (*c < line && (*c + 1..line).all(commented)))
     }
 }
 
@@ -154,6 +168,9 @@ pub fn lex(src: &str) -> Lexed {
             }
             _ if c.is_alphabetic() || c == '_' => {
                 let start = i;
+                if c == 'r' && b.get(i + 1) == Some(&'#') {
+                    i += 2; // raw identifier `r#name`
+                }
                 while i < b.len() && (b[i].is_alphanumeric() || b[i] == '_') {
                     i += 1;
                 }
@@ -174,17 +191,17 @@ pub fn lex(src: &str) -> Lexed {
     Lexed { tokens, comments }
 }
 
+/// `r"`, `r#"`, `b"`, `b'` or `br#"` at `i`. A raw identifier (`r#type`)
+/// is not a string: after an `r`, only hashes followed by a quote open one.
 fn starts_raw_or_byte_string(b: &[char], i: usize) -> bool {
-    match b[i] {
-        'r' => matches!(b.get(i + 1), Some('"') | Some('#')),
-        'b' => match b.get(i + 1) {
-            Some('"') => true,
-            Some('r') => matches!(b.get(i + 2), Some('"') | Some('#')),
-            Some('\'') => true,
-            _ => false,
-        },
-        _ => false,
-    }
+    let after_r = match (b[i], b.get(i + 1)) {
+        ('b', Some('"' | '\'')) => return true,
+        ('b', Some('r')) => i + 2,
+        ('r', _) => i + 1,
+        _ => return false,
+    };
+    let hashes = b[after_r..].iter().take_while(|&&c| c == '#').count();
+    b.get(after_r + hashes) == Some(&'"')
 }
 
 /// Skip a plain `"…"` string starting at the opening quote; returns the
@@ -273,7 +290,7 @@ pub fn strip_test_items(tokens: &[Token]) -> Vec<Token> {
         if tokens[i].tok == Tok::Punct('#')
             && matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('[')))
         {
-            let close = matching(tokens, i + 1, '[', ']');
+            let close = matching(tokens, i + 1, tokens.len(), '[', ']');
             let attr = &tokens[i + 1..close];
             let is_test = attr.iter().any(|t| t.tok == Tok::Ident("cfg".into()))
                 && attr.iter().any(|t| t.tok == Tok::Ident("test".into()))
@@ -286,7 +303,7 @@ pub fn strip_test_items(tokens: &[Token]) -> Vec<Token> {
                     && tokens[i].tok == Tok::Punct('#')
                     && matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('[')))
                 {
-                    i = matching(tokens, i + 1, '[', ']') + 1;
+                    i = matching(tokens, i + 1, tokens.len(), '[', ']') + 1;
                 }
                 i = skip_item(tokens, i);
                 continue;
@@ -304,7 +321,7 @@ fn skip_item(tokens: &[Token], mut i: usize) -> usize {
     while i < tokens.len() {
         match tokens[i].tok {
             Tok::Punct(';') => return i + 1,
-            Tok::Punct('{') => return matching(tokens, i, '{', '}') + 1,
+            Tok::Punct('{') => return matching(tokens, i, tokens.len(), '{', '}') + 1,
             // A nested bracket group before the body (generics use <>,
             // which we don't need to balance to find `{` or `;`).
             _ => i += 1,
@@ -313,11 +330,31 @@ fn skip_item(tokens: &[Token], mut i: usize) -> usize {
     i
 }
 
-/// Index of the token closing the group opened at `open_idx`.
-fn matching(tokens: &[Token], open_idx: usize, open: char, close: char) -> usize {
+/// The identifier text of `t`, if it is one.
+pub(crate) fn ident(t: Option<&Token>) -> Option<&str> {
+    match t.map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// Is `t` the punctuation character `c`?
+pub(crate) fn is_punct(t: Option<&Token>, c: char) -> bool {
+    matches!(t.map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
+}
+
+/// Index of the token closing the `open`…`close` group opened at
+/// `open_idx`, searching no further than `end` (`end - 1` if unclosed).
+pub(crate) fn matching(
+    tokens: &[Token],
+    open_idx: usize,
+    end: usize,
+    open: char,
+    close: char,
+) -> usize {
     let mut depth = 0usize;
     let mut i = open_idx;
-    while i < tokens.len() {
+    while i < end {
         match tokens[i].tok {
             Tok::Punct(c) if c == open => depth += 1,
             Tok::Punct(c) if c == close => {
@@ -330,7 +367,7 @@ fn matching(tokens: &[Token], open_idx: usize, open: char, close: char) -> usize
         }
         i += 1;
     }
-    tokens.len().saturating_sub(1)
+    end.saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -358,6 +395,18 @@ mod tests {
             idents(r##"let x = r#"Ordering::Relaxed"#; y"##),
             vec!["let", "x", "y"]
         );
+    }
+
+    #[test]
+    fn raw_identifiers_are_one_identifier() {
+        // `r#type` once opened a raw string that swallowed the rest of the
+        // file (and tripped a debug assertion).
+        assert_eq!(
+            idents("fn f(r#type: u32) { HashMap } r\"s\" r#\"t\"# br#\"u\"#"),
+            vec!["fn", "f", "r#type", "u32", "HashMap"]
+        );
+        // A raw keyword is not the keyword.
+        assert_eq!(idents("let r#loop = 1;"), vec!["let", "r#loop"]);
     }
 
     #[test]

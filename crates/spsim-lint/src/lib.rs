@@ -5,19 +5,26 @@
 //! check. This crate walks every `.rs` file under `crates/` and `src/` and
 //! enforces them as ten rules — see [`rules::Rule`] and DESIGN §10.
 //!
-//! Per-file token rules (PR 4/PR 7):
+//! There is one pipeline, [`lint_sources`]. Each file is lexed
+//! ([`lexer`]), stripped of its `#[cfg(test)]` items and parsed
+//! ([`parser`]) exactly once, into a [`parser::ParsedFile`] holding the
+//! tokens, comments, `fn` items, call sites (with the lock guards live at
+//! each) and thread-primitive sites. Every rule reads that value.
+//!
+//! Per-file rules ([`rules`]), over one parsed file:
 //!
 //! * **L1** virtual-time purity — no `Instant`/`SystemTime`/`thread::sleep`
 //!   in simulated code outside allowlisted real-time bridges.
 //! * **L2** determinism — no `HashMap`/`HashSet` on ordering-sensitive paths.
 //! * **L3** atomics hygiene — `Relaxed`/`SeqCst` need `// ordering:` comments.
-//! * **L4** no lock guard held across a blocking wait/recv/pump/send call.
+//! * **L4** no lock guard held across a blocking wait/recv/pump/send call,
+//!   read from the parser's per-call guard tracking.
 //! * **L5** panic discipline — hot paths use the diagnostic helpers.
 //! * **L6** liveness — wait loops on hot paths carry a `// liveness:`
 //!   comment naming their wakeup source (and its peer-death poison path).
 //!
-//! Interprocedural rules, run over a workspace-wide call graph built by the
-//! item [`parser`] and [`graph`] modules:
+//! Interprocedural rules ([`arules`]), over the workspace call graph
+//! ([`graph`]) built from all parsed files:
 //!
 //! * **A1** transitive virtual-time taint — indirectly reaching a wall clock.
 //! * **A2** lock-order inversion — cycles in the acquired-while-held graph.
@@ -45,7 +52,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use allowlist::Allowlist;
-use rules::{classify, lint_source, FileClass, Finding};
+use rules::{classify, Finding};
 
 /// Result of a full lint run.
 pub struct Report {
@@ -60,80 +67,58 @@ pub struct Report {
     pub files: usize,
 }
 
-/// Lint one file on disk with the per-file L-rules. `rel` is the
-/// repo-relative path used for classification and reporting; fixture files
-/// may override their class with a first-line `// lint-as: <path>` comment.
+/// The one lint driver. Each `(repo-relative path, source)` pair is lexed,
+/// test-stripped and parsed once; the per-file L-rules run over each parsed
+/// file, the interprocedural A-rules over the workspace built from all of
+/// them, and `lint.toml` filters the lot. A first-line `// lint-as: <path>`
+/// comment gives a file (a fixture) the class of another path; files out
+/// of lint scope are skipped.
+pub fn lint_sources(files: &[(String, String)], allow: &Allowlist) -> Report {
+    let mut findings = Vec::new();
+    let mut parsed = Vec::new();
+    let mut lines: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for (real, src) in files {
+        let effective = fixture_as(src).unwrap_or(real);
+        let Some(class) = classify(effective) else {
+            continue;
+        };
+        let pf = parser::parse_file(real, effective, src);
+        findings.extend(rules::run(&pf, class));
+        parsed.push(pf);
+        lines.insert(real.clone(), src.lines().map(str::to_string).collect());
+    }
+    let ws = graph::Workspace::build(parsed);
+    findings.extend(arules::run(&ws, allow, &lines));
+    findings.retain(|f| !allow.suppresses(f, arules::line_text(&lines, &f.path, f.line)));
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    Report {
+        findings,
+        warnings: Vec::new(),
+        stale: allow.unused(),
+        files: files.len(),
+    }
+}
+
+/// Lint one file's source on its own (see [`lint_sources`]); `rel` is the
+/// repo-relative path used for classification and reporting.
 pub fn lint_file(rel: &str, src: &str, allow: &Allowlist) -> Vec<Finding> {
-    let class = match fixture_class(src).or_else(|| classify(rel)) {
-        Some(c) => c,
-        None => return Vec::new(),
-    };
-    let lines: Vec<&str> = src.lines().collect();
-    lint_source(rel, src, class)
-        .into_iter()
-        .filter(|f| {
-            let text = lines.get(f.line as usize - 1).copied().unwrap_or("");
-            !allow.suppresses(f, text)
-        })
-        .collect()
+    lint_sources(&[(rel.to_string(), src.to_string())], allow).findings
 }
 
-/// Honor a `// lint-as: crates/lapi/src/engine.rs` header comment, which
-/// lets fixture files borrow the class of a real path.
-fn fixture_class(src: &str) -> Option<FileClass> {
-    classify(fixture_as(src)?)
-}
-
-/// The `// lint-as:` header path itself, if present.
+/// The `// lint-as:` header path, if present.
 fn fixture_as(src: &str) -> Option<&str> {
     let first = src.lines().next()?.trim();
     Some(first.strip_prefix("// lint-as:")?.trim())
 }
 
-/// Run the interprocedural analyzer (A1–A4) over a set of files given as
-/// `(repo-relative path, source)` pairs. Files out of lint scope are
-/// skipped; `// lint-as:` headers pick each file's effective path. Findings
-/// are allowlist-filtered like the L-rules.
-pub fn analyze_set(files: &[(String, String)], allow: &Allowlist) -> Vec<Finding> {
-    let mut parsed = Vec::new();
-    let mut lines: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (real, src) in files {
-        let effective = fixture_as(src).unwrap_or(real).to_string();
-        if classify(&effective).is_none() {
-            continue;
-        }
-        let lexed = lexer::lex(src);
-        parsed.push((
-            real.clone(),
-            effective.clone(),
-            parser::parse_file(real, &effective, &lexed),
-        ));
-        lines.insert(real.clone(), src.lines().map(str::to_string).collect());
-    }
-    let ws = graph::Workspace::build(parsed);
-    arules::run(&ws, allow, &lines)
-        .into_iter()
-        .filter(|f| {
-            let text = lines
-                .get(&f.path)
-                .and_then(|v| v.get(f.line as usize - 1))
-                .map(String::as_str)
-                .unwrap_or("");
-            !allow.suppresses(f, text)
-        })
-        .collect()
-}
-
-/// Walk `crates/` and `src/` under `root` and lint everything in scope:
-/// the per-file L-rules, then the interprocedural A-rules over the whole
-/// set at once.
+/// Walk `crates/` and `src/` under `root` and lint everything in scope as
+/// one workspace.
 pub fn lint_root(root: &Path, allow: &Allowlist) -> Report {
     let mut files = Vec::new();
     for top in ["crates", "src"] {
         collect_rs(&root.join(top), &mut files);
     }
     files.sort();
-    let mut findings = Vec::new();
     let mut warnings = Vec::new();
     let mut sources: Vec<(String, String)> = Vec::new();
     for path in &files {
@@ -146,21 +131,13 @@ pub fn lint_root(root: &Path, allow: &Allowlist) -> Report {
             continue;
         }
         match fs::read_to_string(path) {
-            Ok(src) => {
-                findings.extend(lint_file(&rel, &src, allow));
-                sources.push((rel, src));
-            }
+            Ok(src) => sources.push((rel, src)),
             Err(e) => warnings.push(format!("{rel}: unreadable: {e}")),
         }
     }
-    let inspected = sources.len();
-    findings.extend(analyze_set(&sources, allow));
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Report {
-        findings,
         warnings,
-        stale: allow.unused(),
-        files: inspected,
+        ..lint_sources(&sources, allow)
     }
 }
 

@@ -4,7 +4,8 @@
 //! `<root>/src` against `<root>/lint.toml` — the per-file L-rules plus the
 //! interprocedural A-rules over the whole set. With file arguments, lints
 //! just those files (fixtures use a `// lint-as:` header to pick their
-//! class); the A-rules see all given files as one mini-workspace.
+//! class); the A-rules see all given files as one mini-workspace. Both
+//! modes run the same driver, `spsim_lint::lint_sources`.
 //!
 //! Flags: `--strict` turns stale suppressions into hard errors; `--json`
 //! prints a machine-readable report to stdout instead of human lines.
@@ -15,7 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use spsim_lint::allowlist::Allowlist;
-use spsim_lint::{analyze_set, lint_file, lint_root, render_json, Report};
+use spsim_lint::{lint_root, lint_sources, render_json};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -63,27 +64,17 @@ fn main() -> ExitCode {
     let report = if files.is_empty() {
         lint_root(&root, &allow)
     } else {
-        let mut findings = Vec::new();
         let mut sources: Vec<(String, String)> = Vec::new();
         for f in &files {
-            let src = match std::fs::read_to_string(f) {
-                Ok(s) => s,
+            match std::fs::read_to_string(f) {
+                Ok(src) => sources.push((f.to_string_lossy().into_owned(), src)),
                 Err(e) => {
                     eprintln!("spsim-lint: {}: {e}", f.display());
                     return ExitCode::from(2);
                 }
-            };
-            findings.extend(lint_file(&f.to_string_lossy(), &src, &allow));
-            sources.push((f.to_string_lossy().into_owned(), src));
+            }
         }
-        findings.extend(analyze_set(&sources, &allow));
-        findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-        Report {
-            findings,
-            warnings: Vec::new(),
-            stale: allow.unused(),
-            files: sources.len(),
-        }
+        lint_sources(&sources, &allow)
     };
 
     let stale_fatal = strict && !report.stale.is_empty();

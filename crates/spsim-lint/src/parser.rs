@@ -1,20 +1,24 @@
-//! Item-level parser: the layer between the lexer and the interprocedural
-//! rules (A1–A4). One pass over a file's (test-stripped) token stream
-//! recovers the *items* the call-graph rules need — `fn` items with their
-//! owners (impl/trait types), call expressions, lock acquisitions, wall-
-//! clock uses, wait-probe calls and `// liveness:` annotations — without
-//! pulling in syn or a real grammar. Precision contract: see DESIGN §10.
+//! Item-level parser: the one front end every rule runs over. It lexes a
+//! file, strips its test items, and makes one pass over the remaining
+//! tokens to recover the *items* the rules need — `fn` items with their
+//! owners (impl/trait types), call expressions, lock guards and
+//! acquisitions, wall-clock uses and `// liveness:` annotations — without
+//! pulling in syn or a real grammar. The per-file L-rules read the
+//! resulting [`ParsedFile`]; the interprocedural A-rules read the
+//! workspace built from all of them. Precision contract: see DESIGN §10.
 //! Everything here is deliberately conservative: a construct the parser
 //! cannot resolve degrades to a name-level match, never to silence.
 
-use crate::lexer::{strip_test_items, Lexed, Tok, Token};
+use crate::lexer::{ident, is_punct, lex, matching, strip_test_items, Lexed, Tok, Token};
 
 /// A lock guard live at some point in a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeldLock {
     /// Qualified lock name, `crate:field` (e.g. `lapi:outstanding`).
     pub lock: String,
-    /// Line the guard was taken on.
+    /// The guard's binding name (`st` in `let st = q.state.lock();`).
+    pub name: String,
+    /// Line of the guard's `let`.
     pub line: u32,
 }
 
@@ -28,7 +32,10 @@ pub struct CallSite {
     pub qual: Option<String>,
     /// 1-based line of the call.
     pub line: u32,
-    /// Lock guards live at the call site (for A2).
+    /// Index of the callee's name in [`ParsedFile::lexed`]'s tokens (its
+    /// argument list opens at `at + 1`).
+    pub at: usize,
+    /// Lock guards live at the call site (for L4 and A2).
     pub held: Vec<HeldLock>,
 }
 
@@ -45,10 +52,10 @@ pub struct LockAcq {
     pub held: Vec<HeldLock>,
 }
 
-/// Everything the interprocedural rules need to know about one `fn` item.
-/// Closures are *not* separate functions: their bodies' calls, probes and
-/// clock uses land in the enclosing `FnInfo`, so a closure inherits (and
-/// propagates) the enclosing function's taint by construction.
+/// Everything the rules need to know about one `fn` item. Closures are
+/// *not* separate functions: their bodies' calls, probes and clock uses
+/// land in the enclosing `FnInfo`, so a closure inherits (and propagates)
+/// the enclosing function's taint by construction.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
     /// Simple name.
@@ -63,19 +70,14 @@ pub struct FnInfo {
     pub effective: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Last line of the body.
-    pub end_line: u32,
     /// Call expressions, in order.
     pub calls: Vec<CallSite>,
-    /// Subset of `calls` whose callee is a wait/park/recv-family primitive.
-    pub probes: Vec<CallSite>,
     /// Direct lock acquisitions.
     pub acquires: Vec<LockAcq>,
-    /// Wall-clock tokens: `(line, which)` for `Instant`/`SystemTime`/
-    /// `thread::sleep`.
+    /// Wall-clock uses in the body: `(line, which)`, see `clock_at`.
     pub clock_uses: Vec<(u32, String)>,
     /// Does a `// liveness:` comment cover this function (inside the body
-    /// or within 3 lines above the `fn` keyword)?
+    /// or in a comment block directly above the `fn` keyword)?
     pub has_liveness: bool,
 }
 
@@ -83,6 +85,14 @@ impl FnInfo {
     /// `stem::name` — the short label used in witness chains.
     pub fn label(&self) -> String {
         format!("{}::{}", self.stem, self.name)
+    }
+
+    /// The first call that blocks, parks or yields (see [`WAIT_PROBES`]),
+    /// which makes this a blocking function for A3.
+    pub(crate) fn first_probe(&self) -> Option<&CallSite> {
+        self.calls
+            .iter()
+            .find(|c| WAIT_PROBES.contains(&c.name.as_str()))
     }
 }
 
@@ -95,9 +105,15 @@ pub struct SpawnSite {
     pub what: String,
 }
 
-/// The parse result for one file.
-#[derive(Debug, Default)]
+/// One file, lexed, test-stripped and parsed once. Every rule reads this.
 pub struct ParsedFile {
+    /// Real on-disk repo-relative path (what findings report).
+    pub path: String,
+    /// Effective path after `// lint-as:` (what classification uses).
+    pub effective: String,
+    /// The file's tokens with `#[cfg(test)]` items removed, plus every
+    /// comment in the file.
+    pub lexed: Lexed,
     /// All `fn` items (free, impl and trait-default methods, nested fns).
     pub fns: Vec<FnInfo>,
     /// Raw OS-thread sites anywhere in the file, including outside `fn`
@@ -105,8 +121,8 @@ pub struct ParsedFile {
     pub spawns: Vec<SpawnSite>,
 }
 
-/// Calls that block, park, yield or pump: each makes the *caller* a
-/// blocking function for A3. Mirrors (and extends) L6's `WAIT_PROBES`.
+/// Calls that block, park or yield: each makes the *caller* a blocking
+/// function for A3, and (with `poll_step`) makes a loop a wait loop for L6.
 pub const WAIT_PROBES: &[&str] = &[
     "wait",
     "wait_for",
@@ -149,109 +165,262 @@ pub fn stem_of(effective: &str) -> &str {
         .trim_end_matches(".rs")
 }
 
-/// Parse one file. `real` is the on-disk repo-relative path (reported in
-/// findings); `effective` is the classification path (after `// lint-as:`).
-pub fn parse_file(real: &str, effective: &str, lexed: &Lexed) -> ParsedFile {
-    let toks = strip_test_items(&lexed.tokens);
-    let mut out = ParsedFile::default();
-    scan_items(&toks, 0, toks.len(), None, real, effective, lexed, &mut out);
-    scan_spawns(&toks, &mut out);
-    out
-}
-
-fn ident(t: Option<&Token>) -> Option<&str> {
-    match t.map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
+/// The wall-clock primitive named at `toks[i]`, if any: `Instant`,
+/// `SystemTime`, or the `sleep` of a `thread::sleep` path. L1 flags these
+/// anywhere in a simulated file; A1 seeds its taint from those in fn
+/// bodies.
+pub(crate) fn clock_at(toks: &[Token], i: usize) -> Option<&'static str> {
+    match ident(toks.get(i))? {
+        "Instant" => Some("Instant"),
+        "SystemTime" => Some("SystemTime"),
+        "sleep" if path_parent(toks, i) == Some("thread") => Some("thread::sleep"),
         _ => None,
     }
 }
 
-fn is_punct(t: Option<&Token>, c: char) -> bool {
-    matches!(t.map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
-}
-
-fn matching_brace(toks: &[Token], open: usize, end: usize) -> usize {
-    let mut d = 0usize;
-    let mut i = open;
-    while i < end {
-        match toks[i].tok {
-            Tok::Punct('{') => d += 1,
-            Tok::Punct('}') => {
-                d -= 1;
-                if d == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
+/// The `Type` of a `Type::name` path whose last segment is `toks[i]`.
+fn path_parent(toks: &[Token], i: usize) -> Option<&str> {
+    if i >= 3 && is_punct(toks.get(i - 1), ':') && is_punct(toks.get(i - 2), ':') {
+        ident(toks.get(i - 3))
+    } else {
+        None
     }
-    end.saturating_sub(1)
 }
 
-/// Walk `toks[i..end]` at item level, descending into `impl`/`trait`/`mod`
-/// blocks and parsing every `fn` body encountered.
-#[allow(clippy::too_many_arguments)]
-fn scan_items(
-    toks: &[Token],
-    mut i: usize,
-    end: usize,
-    owner: Option<&str>,
-    real: &str,
-    effective: &str,
-    lexed: &Lexed,
-    out: &mut ParsedFile,
-) {
-    while i < end {
-        match ident(toks.get(i)) {
-            Some("impl") => {
-                let (name, open) = impl_owner(toks, i, end);
-                if let Some(open) = open {
-                    let close = matching_brace(toks, open, end);
-                    scan_items(
-                        toks,
-                        open + 1,
-                        close,
-                        name.as_deref(),
-                        real,
-                        effective,
-                        lexed,
-                        out,
-                    );
+/// Lex, test-strip and parse one file. `path` is the on-disk repo-relative
+/// path (reported in findings); `effective` is the classification path
+/// (after `// lint-as:`).
+pub fn parse_file(path: &str, effective: &str, src: &str) -> ParsedFile {
+    let mut lexed = lex(src);
+    lexed.tokens = strip_test_items(&lexed.tokens);
+    let mut scan = Scan {
+        lexed: &lexed,
+        path,
+        effective,
+        fns: Vec::new(),
+    };
+    scan.items(0, lexed.tokens.len(), None);
+    let fns = scan.fns;
+    let spawns = scan_spawns(&lexed.tokens);
+    ParsedFile {
+        path: path.to_string(),
+        effective: effective.to_string(),
+        lexed,
+        fns,
+        spawns,
+    }
+}
+
+/// One file's item walk: the (stripped) file it reads, and the `fn` items
+/// found so far.
+struct Scan<'a> {
+    lexed: &'a Lexed,
+    path: &'a str,
+    effective: &'a str,
+    fns: Vec<FnInfo>,
+}
+
+#[derive(Debug)]
+struct Guard {
+    held: HeldLock,
+    depth: usize,
+    /// Token index from which the binding is live (its statement's `;`).
+    from: usize,
+}
+
+impl Scan<'_> {
+    /// Walk `toks[i..end]` at item level, descending into `impl`/`trait`/
+    /// `mod` blocks and parsing every `fn` body encountered.
+    fn items(&mut self, mut i: usize, end: usize, owner: Option<&str>) {
+        let toks = &self.lexed.tokens;
+        while i < end {
+            match ident(toks.get(i)) {
+                Some("impl") => {
+                    let (name, open) = impl_owner(toks, i, end);
+                    if let Some(open) = open {
+                        let close = matching(toks, open, end, '{', '}');
+                        self.items(open + 1, close, name.as_deref());
+                        i = close + 1;
+                        continue;
+                    }
+                    i += 1;
+                }
+                Some("trait") => {
+                    let name = ident(toks.get(i + 1)).map(str::to_string);
+                    if let Some(open) = (i + 1..end).find(|&j| is_punct(toks.get(j), '{')) {
+                        let close = matching(toks, open, end, '{', '}');
+                        self.items(open + 1, close, name.as_deref());
+                        i = close + 1;
+                        continue;
+                    }
+                    i += 1;
+                }
+                Some("mod")
+                    if ident(toks.get(i + 1)).is_some() && is_punct(toks.get(i + 2), '{') =>
+                {
+                    // Inline module: items inside keep the (lack of an) owner.
+                    let close = matching(toks, i + 2, end, '{', '}');
+                    self.items(i + 3, close, owner);
                     i = close + 1;
+                }
+                Some("fn") => i = self.fn_item(i, end, owner),
+                _ => i += 1,
+            }
+        }
+    }
+
+    /// Parse the `fn` item starting at `toks[i]` (`== fn`). Returns the
+    /// index to resume scanning from.
+    fn fn_item(&mut self, i: usize, end: usize, owner: Option<&str>) -> usize {
+        let toks = &self.lexed.tokens;
+        let Some(name) = ident(toks.get(i + 1)) else {
+            return i + 1;
+        };
+        let fn_line = toks[i].line;
+        // Find the body `{` (or a `;` for bodiless trait declarations) at
+        // paren/bracket depth 0.
+        let mut j = i + 2;
+        let mut d = 0i32;
+        let mut open = None;
+        while j < end {
+            match toks[j].tok {
+                Tok::Punct('(') | Tok::Punct('[') => d += 1,
+                Tok::Punct(')') | Tok::Punct(']') => d -= 1,
+                Tok::Punct('{') if d == 0 => {
+                    open = Some(j);
+                    break;
+                }
+                Tok::Punct(';') if d == 0 => return j + 1,
+                _ => {}
+            }
+            j += 1;
+        }
+        let Some(open) = open else { return j };
+        let close = matching(toks, open, end, '{', '}');
+        let end_line = toks.get(close).map(|t| t.line).unwrap_or(fn_line);
+
+        let mut info = FnInfo {
+            name: name.to_string(),
+            owner: owner.map(str::to_string),
+            stem: stem_of(self.effective).to_string(),
+            path: self.path.to_string(),
+            effective: self.effective.to_string(),
+            line: fn_line,
+            calls: Vec::new(),
+            acquires: Vec::new(),
+            clock_uses: Vec::new(),
+            has_liveness: false,
+        };
+        self.body(open + 1, close, &mut info);
+        // A `// liveness:` marker covers the fn if it sits inside the item
+        // or marks the `fn` line the way L6 marks a loop.
+        let inside =
+            |(l, t): &(u32, String)| (fn_line..=end_line).contains(l) && t.contains("liveness:");
+        info.has_liveness =
+            self.lexed.marks(fn_line, "liveness:") || self.lexed.comments.iter().any(inside);
+        self.fns.push(info);
+        close + 1
+    }
+
+    /// Scan one fn body, collecting calls, acquisitions, live guards and
+    /// clock uses. Nested `fn` items are parsed as their own `FnInfo` (and
+    /// skipped here, so an outer guard never leaks into them); closures
+    /// are scanned inline, so they fold into the enclosing fn.
+    fn body(&mut self, start: usize, close: usize, info: &mut FnInfo) {
+        let toks = &self.lexed.tokens;
+        let krate = crate_of(self.effective);
+        let mut guards: Vec<Guard> = Vec::new();
+        let mut depth = 0usize;
+        let mut i = start;
+        while i < close {
+            if let Some(which) = clock_at(toks, i) {
+                info.clock_uses.push((toks[i].line, which.to_string()));
+            }
+            match &toks[i].tok {
+                Tok::Punct('{') => depth += 1,
+                Tok::Punct('}') => {
+                    depth = depth.saturating_sub(1);
+                    guards.retain(|g| g.depth <= depth);
+                }
+                Tok::Ident(w) if w == "fn" => {
+                    // A nested fn is its own item; don't fold it in here.
+                    i = self.fn_item(i, close, None);
                     continue;
                 }
-                i += 1;
-            }
-            Some("trait") => {
-                let name = ident(toks.get(i + 1)).map(str::to_string);
-                if let Some(open) = (i + 1..end).find(|&j| is_punct(toks.get(j), '{')) {
-                    let close = matching_brace(toks, open, end);
-                    scan_items(
-                        toks,
-                        open + 1,
-                        close,
-                        name.as_deref(),
-                        real,
-                        effective,
-                        lexed,
-                        out,
-                    );
-                    i = close + 1;
+                Tok::Ident(w) if w == "let" => {
+                    if let Some((name, lock_tok, semi)) = guard_binding(toks, i, close) {
+                        guards.push(Guard {
+                            held: HeldLock {
+                                lock: lock_name_at(toks, lock_tok, krate),
+                                name,
+                                line: toks[i].line,
+                            },
+                            depth,
+                            from: semi,
+                        });
+                    }
+                }
+                Tok::Ident(w) if w == "drop" && is_punct(toks.get(i + 1), '(') => {
+                    if let Some(name) = ident(toks.get(i + 2)) {
+                        guards.retain(|g| g.held.name != name);
+                    }
+                }
+                Tok::Ident(w)
+                    if GUARD_CALLS.contains(&w.as_str())
+                        && is_punct(toks.get(i.wrapping_sub(1)), '.')
+                        && is_punct(toks.get(i + 1), '(')
+                        && is_punct(toks.get(i + 2), ')') =>
+                {
+                    // Direct acquisition `recv.lock()` / `x.read()` / `x.write()`.
+                    info.acquires.push(LockAcq {
+                        lock: lock_name_at(toks, i, krate),
+                        line: toks[i].line,
+                        held: held_at(&guards, i),
+                    });
+                    i += 3;
                     continue;
                 }
-                i += 1;
+                Tok::Ident(w)
+                    if GUARD_CALLS.contains(&w.as_str())
+                        && matches!(path_parent(toks, i), Some("Mutex" | "RwLock"))
+                        && is_punct(toks.get(i + 1), '(') =>
+                {
+                    // UFCS form `Mutex::lock(&x)`: name the lock from the
+                    // first argument ident.
+                    let mut k = i + 2;
+                    while k < close && ident(toks.get(k)).is_none() {
+                        k += 1;
+                    }
+                    let lock = match ident(toks.get(k)) {
+                        // `Mutex::lock(&self.field)`
+                        Some("self") if is_punct(toks.get(k + 1), '.') => {
+                            ident(toks.get(k + 2)).unwrap_or("?")
+                        }
+                        Some("self") => "?",
+                        Some(n) => n,
+                        None => "?",
+                    };
+                    info.acquires.push(LockAcq {
+                        lock: format!("{krate}:{lock}"),
+                        line: toks[i].line,
+                        held: held_at(&guards, i),
+                    });
+                }
+                Tok::Ident(w)
+                    if is_punct(toks.get(i + 1), '(')
+                        && !NON_CALL_KEYWORDS.contains(&w.as_str()) =>
+                {
+                    info.calls.push(CallSite {
+                        name: w.clone(),
+                        qual: call_qual(toks, i),
+                        line: toks[i].line,
+                        at: i,
+                        held: held_at(&guards, i),
+                    });
+                }
+                _ => {}
             }
-            Some("mod") if ident(toks.get(i + 1)).is_some() && is_punct(toks.get(i + 2), '{') => {
-                // Inline module: items inside keep the (lack of an) owner.
-                let close = matching_brace(toks, i + 2, end);
-                scan_items(toks, i + 3, close, owner, real, effective, lexed, out);
-                i = close + 1;
-            }
-            Some("fn") => {
-                i = parse_fn(toks, i, end, owner, real, effective, lexed, out);
-            }
-            _ => i += 1,
+            i += 1;
         }
     }
 }
@@ -263,21 +432,7 @@ fn impl_owner(toks: &[Token], i: usize, end: usize) -> (Option<String>, Option<u
     let mut j = i + 1;
     // Skip `<…>` generics directly after `impl`.
     if is_punct(toks.get(j), '<') {
-        let mut d = 0i32;
-        while j < end {
-            match toks[j].tok {
-                Tok::Punct('<') => d += 1,
-                Tok::Punct('>') => {
-                    d -= 1;
-                    if d == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        j = matching(toks, j, end, '<', '>') + 1;
     }
     let mut first_ident: Option<String> = None;
     let mut after_for: Option<String> = None;
@@ -320,234 +475,20 @@ fn impl_owner(toks: &[Token], i: usize, end: usize) -> (Option<String>, Option<u
     (after_for.or(first_ident), open)
 }
 
-/// Parse the `fn` item starting at `toks[i]` (`== fn`). Returns the index
-/// to resume scanning from.
-#[allow(clippy::too_many_arguments)]
-fn parse_fn(
-    toks: &[Token],
-    i: usize,
-    end: usize,
-    owner: Option<&str>,
-    real: &str,
-    effective: &str,
-    lexed: &Lexed,
-    out: &mut ParsedFile,
-) -> usize {
-    let Some(name) = ident(toks.get(i + 1)) else {
-        return i + 1;
-    };
-    let name = name.to_string();
-    let fn_line = toks[i].line;
-    // Find the body `{` (or a `;` for bodiless trait declarations) at
-    // paren/bracket depth 0.
-    let mut j = i + 2;
-    let mut d = 0i32;
-    let mut open = None;
-    while j < end {
-        match toks[j].tok {
-            Tok::Punct('(') | Tok::Punct('[') => d += 1,
-            Tok::Punct(')') | Tok::Punct(']') => d -= 1,
-            Tok::Punct('{') if d == 0 => {
-                open = Some(j);
-                break;
-            }
-            Tok::Punct(';') if d == 0 => return j + 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    let Some(open) = open else { return j };
-    let close = matching_brace(toks, open, end);
-    let end_line = toks.get(close).map(|t| t.line).unwrap_or(fn_line);
-
-    let mut info = FnInfo {
-        name,
-        owner: owner.map(str::to_string),
-        stem: stem_of(effective).to_string(),
-        path: real.to_string(),
-        effective: effective.to_string(),
-        line: fn_line,
-        end_line,
-        calls: Vec::new(),
-        probes: Vec::new(),
-        acquires: Vec::new(),
-        clock_uses: Vec::new(),
-        has_liveness: false,
-    };
-    scan_body(
-        toks,
-        open + 1,
-        close,
-        effective,
-        real,
-        lexed,
-        &mut info,
-        out,
-    );
-    // A `// liveness:` marker covers the fn if it sits inside the item or
-    // in a comment block contiguous with the `fn` line (same convention as
-    // L6: multi-line explanations above the item stay legal).
-    let comment_lines = lexed.comment_lines_containing("");
-    info.has_liveness = lexed
-        .comments
-        .iter()
-        .filter(|(_, t)| t.contains("liveness:"))
-        .any(|(l, _)| {
-            (*l >= fn_line && *l <= end_line)
-                || (*l < fn_line && (*l + 1..fn_line).all(|x| comment_lines.contains(&x)))
-        });
-    out.fns.push(info);
-    close + 1
-}
-
-#[derive(Debug)]
-struct Guard {
-    name: String,
-    lock: String,
-    line: u32,
-    depth: usize,
-    /// Token index from which the binding is live (its statement's `;`).
-    from: usize,
-}
-
-/// Scan one fn body, collecting calls, probes, acquisitions and clock
-/// uses. Nested `fn` items are parsed as their own `FnInfo` (and skipped
-/// here); closures are scanned inline, so they fold into the enclosing fn.
-#[allow(clippy::too_many_arguments)]
-fn scan_body(
-    toks: &[Token],
-    start: usize,
-    close: usize,
-    effective: &str,
-    real: &str,
-    lexed: &Lexed,
-    info: &mut FnInfo,
-    out: &mut ParsedFile,
-) {
-    let krate = crate_of(effective);
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = start;
-    while i < close {
-        match &toks[i].tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|g| g.depth <= depth);
-            }
-            Tok::Ident(w) if w == "fn" => {
-                // A nested fn is its own item; don't fold it in here.
-                i = parse_fn(toks, i, close, None, real, effective, lexed, out);
-                continue;
-            }
-            Tok::Ident(w) if w == "let" => {
-                if let Some((name, (line, lock_tok), semi)) = guard_binding(toks, i, close, krate) {
-                    let lock = lock_name_at(toks, lock_tok, krate);
-                    guards.push(Guard {
-                        name,
-                        lock,
-                        line,
-                        depth,
-                        from: semi,
-                    });
-                }
-            }
-            Tok::Ident(w) if w == "drop" && is_punct(toks.get(i + 1), '(') => {
-                if let Some(name) = ident(toks.get(i + 2)) {
-                    guards.retain(|g| g.name != name);
-                }
-            }
-            Tok::Ident(w) if w == "Instant" || w == "SystemTime" => {
-                info.clock_uses.push((toks[i].line, w.clone()));
-            }
-            Tok::Ident(w)
-                if GUARD_CALLS.contains(&w.as_str())
-                    && is_punct(toks.get(i.wrapping_sub(1)), '.')
-                    && is_punct(toks.get(i + 1), '(')
-                    && is_punct(toks.get(i + 2), ')') =>
-            {
-                // Direct acquisition `recv.lock()` / `x.read()` / `x.write()`.
-                let lock = lock_name_at(toks, i, krate);
-                let held = held_snapshot(&guards, i);
-                info.acquires.push(LockAcq {
-                    lock,
-                    line: toks[i].line,
-                    held,
-                });
-                i += 3;
-                continue;
-            }
-            Tok::Ident(w)
-                if GUARD_CALLS.contains(&w.as_str())
-                    && is_punct(toks.get(i.wrapping_sub(1)), ':')
-                    && is_punct(toks.get(i.wrapping_sub(2)), ':')
-                    && matches!(ident(toks.get(i.wrapping_sub(3))), Some("Mutex" | "RwLock"))
-                    && is_punct(toks.get(i + 1), '(') =>
-            {
-                // UFCS form `Mutex::lock(&x)`: name the lock from the first
-                // argument ident.
-                let mut k = i + 2;
-                while k < close && ident(toks.get(k)).is_none() {
-                    k += 1;
-                }
-                let lock = match ident(toks.get(k)) {
-                    // `Mutex::lock(&self.field)`
-                    Some("self") if is_punct(toks.get(k + 1), '.') => {
-                        ident(toks.get(k + 2)).unwrap_or("?")
-                    }
-                    Some("self") => "?",
-                    Some(n) => n,
-                    None => "?",
-                };
-                let held = held_snapshot(&guards, i);
-                info.acquires.push(LockAcq {
-                    lock: format!("{krate}:{lock}"),
-                    line: toks[i].line,
-                    held,
-                });
-            }
-            Tok::Ident(w) if is_punct(toks.get(i + 1), '(') => {
-                if NON_CALL_KEYWORDS.contains(&w.as_str()) {
-                    i += 1;
-                    continue;
-                }
-                let qual = call_qual(toks, i);
-                if w == "sleep" && qual.as_deref() == Some("thread") {
-                    info.clock_uses.push((toks[i].line, "thread::sleep".into()));
-                }
-                let site = CallSite {
-                    name: w.clone(),
-                    qual,
-                    line: toks[i].line,
-                    held: held_snapshot(&guards, i),
-                };
-                if WAIT_PROBES.contains(&w.as_str()) {
-                    info.probes.push(site.clone());
-                }
-                info.calls.push(site);
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-fn held_snapshot(guards: &[Guard], at: usize) -> Vec<HeldLock> {
+/// The guards live at token `at`: bound by a statement that has ended.
+fn held_at(guards: &[Guard], at: usize) -> Vec<HeldLock> {
     guards
         .iter()
         .filter(|g| g.from <= at)
-        .map(|g| HeldLock {
-            lock: g.lock.clone(),
-            line: g.line,
-        })
+        .map(|g| g.held.clone())
         .collect()
 }
 
 /// Qualifier of a call at token `i`: `Some(type)` for `Type::name(…)`,
 /// `Some("self")` for `self.name(…)`, else `None`.
 fn call_qual(toks: &[Token], i: usize) -> Option<String> {
-    if i >= 2 && is_punct(toks.get(i - 1), ':') && is_punct(toks.get(i - 2), ':') {
-        return ident(toks.get(i.wrapping_sub(3))).map(str::to_string);
+    if let Some(parent) = path_parent(toks, i) {
+        return Some(parent.to_string());
     }
     if i >= 2 && is_punct(toks.get(i - 1), '.') && ident(toks.get(i - 2)) == Some("self") {
         return Some("self".to_string());
@@ -570,14 +511,10 @@ fn lock_name_at(toks: &[Token], i: usize, krate: &str) -> String {
 }
 
 /// If the statement starting at `let` (index `i`) binds a plain identifier
-/// to an expression ending in a guard call, return `(name, (line, lock
-/// token index), semi index)`.
-fn guard_binding(
-    toks: &[Token],
-    i: usize,
-    end: usize,
-    _krate: &str,
-) -> Option<(String, (u32, usize), usize)> {
+/// to an expression ending in `.lock()`/`.read()`/`.write()`, return the
+/// bound name, the index of that guard call and the index of the
+/// statement's terminating `;`.
+fn guard_binding(toks: &[Token], i: usize, end: usize) -> Option<(String, usize, usize)> {
     let mut j = i + 1;
     if ident(toks.get(j)) == Some("mut") {
         j += 1;
@@ -586,6 +523,7 @@ fn guard_binding(
     if !is_punct(toks.get(j + 1), '=') {
         return None;
     }
+    // Scan to the statement-terminating `;` at bracket depth 0.
     let mut k = j + 2;
     let mut d = 0i32;
     while k < end {
@@ -597,14 +535,14 @@ fn guard_binding(
         }
         k += 1;
     }
+    // The expression must end `… . lock ( )` (or read/write).
     if k >= 4
         && is_punct(toks.get(k - 1), ')')
         && is_punct(toks.get(k - 2), '(')
         && ident(toks.get(k - 3)).is_some_and(|m| GUARD_CALLS.contains(&m))
         && is_punct(toks.get(k - 4), '.')
     {
-        let lock_tok = k - 3;
-        Some((name, (toks[lock_tok].line, lock_tok), k))
+        Some((name, k - 3, k))
     } else {
         None
     }
@@ -616,38 +554,25 @@ fn guard_binding(
 /// behind the scheduler's back — `thread::park`/`park_timeout` and raw
 /// `Condvar` waits — which would pin a pooled worker instead of yielding
 /// the fiber (use `spsim::SimCondvar` / the runtime's park instead).
-fn scan_spawns(toks: &[Token], out: &mut ParsedFile) {
+fn scan_spawns(toks: &[Token]) -> Vec<SpawnSite> {
+    let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         let Tok::Ident(w) = &t.tok else { continue };
-        match w.as_str() {
-            "JoinHandle" => out.spawns.push(SpawnSite {
-                line: t.line,
-                what: "JoinHandle".into(),
-            }),
-            "Condvar" => out.spawns.push(SpawnSite {
-                line: t.line,
-                what: "Condvar".into(),
-            }),
+        let what = match w.as_str() {
+            "JoinHandle" | "Condvar" => w.clone(),
             "spawn" | "scope" | "Builder" | "spawn_scoped" | "park" | "park_timeout"
-                if i >= 3
-                    && is_punct(toks.get(i - 1), ':')
-                    && is_punct(toks.get(i - 2), ':')
-                    && ident(toks.get(i - 3)) == Some("thread") =>
+                if path_parent(toks, i) == Some("thread") =>
             {
-                out.spawns.push(SpawnSite {
-                    line: t.line,
-                    what: format!("thread::{w}"),
-                });
+                format!("thread::{w}")
             }
             "spawn" | "spawn_scoped"
                 if is_punct(toks.get(i.wrapping_sub(1)), '.') && is_punct(toks.get(i + 1), '(') =>
             {
-                out.spawns.push(SpawnSite {
-                    line: t.line,
-                    what: format!(".{w}(…)"),
-                });
+                format!(".{w}(…)")
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        out.push(SpawnSite { line: t.line, what });
     }
+    out
 }

@@ -1,8 +1,10 @@
-//! The rule catalogue. Each rule is a token-level pass over one lexed file;
-//! see DESIGN §10 for the rationale behind every rule and the procedure for
-//! adding one.
+//! The rule catalogue and the per-file rules L1–L6. Each L-rule reads one
+//! [`ParsedFile`]: its test-stripped tokens and comments, and for L4 the
+//! parser's guard tracking. See DESIGN §10 for the rationale behind every
+//! rule and the procedure for adding one.
 
-use crate::lexer::{lex, strip_test_items, Lexed, Tok, Token};
+use crate::lexer::{ident, is_punct, matching};
+use crate::parser::{clock_at, ParsedFile, WAIT_PROBES};
 
 /// The ten enforced invariants: six per-file token rules (L1–L6) and four
 /// interprocedural, call-graph rules (A1–A4).
@@ -35,38 +37,30 @@ pub enum Rule {
     A4,
 }
 
+/// Every rule with its stable short code, in declaration order (`code`
+/// indexes this table by the variant's discriminant).
+const CODES: [(Rule, &str); 10] = [
+    (Rule::L1, "L1"),
+    (Rule::L2, "L2"),
+    (Rule::L3, "L3"),
+    (Rule::L4, "L4"),
+    (Rule::L5, "L5"),
+    (Rule::L6, "L6"),
+    (Rule::A1, "A1"),
+    (Rule::A2, "A2"),
+    (Rule::A3, "A3"),
+    (Rule::A4, "A4"),
+];
+
 impl Rule {
     /// Stable short code, as used in `lint.toml`.
     pub fn code(self) -> &'static str {
-        match self {
-            Rule::L1 => "L1",
-            Rule::L2 => "L2",
-            Rule::L3 => "L3",
-            Rule::L4 => "L4",
-            Rule::L5 => "L5",
-            Rule::L6 => "L6",
-            Rule::A1 => "A1",
-            Rule::A2 => "A2",
-            Rule::A3 => "A3",
-            Rule::A4 => "A4",
-        }
+        CODES[self as usize].1
     }
 
     /// Parse a short code.
     pub fn from_code(s: &str) -> Option<Rule> {
-        Some(match s {
-            "L1" => Rule::L1,
-            "L2" => Rule::L2,
-            "L3" => Rule::L3,
-            "L4" => Rule::L4,
-            "L5" => Rule::L5,
-            "L6" => Rule::L6,
-            "A1" => Rule::A1,
-            "A2" => Rule::A2,
-            "A3" => Rule::A3,
-            "A4" => Rule::A4,
-            _ => return None,
-        })
+        CODES.iter().find(|(_, c)| *c == s).map(|(r, _)| *r)
     }
 }
 
@@ -100,6 +94,17 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A per-file (L-rule) finding in `pf`: no witness chain.
+    fn local(rule: Rule, pf: &ParsedFile, line: u32, msg: String) -> Finding {
+        Finding {
+            rule,
+            path: pf.path.clone(),
+            line,
+            msg,
+            witness: Vec::new(),
+        }
+    }
+
     /// `path:line: [Lx] msg` — the stable output format. A-rule findings
     /// append their witness chain, one arrow line plus one `file:line` line
     /// per hop.
@@ -199,101 +204,60 @@ pub fn excluded(path: &str) -> bool {
         || path.starts_with("target/")
 }
 
-/// Lint one file's source under a class. `path` is used only for reporting.
-pub fn lint_source(path: &str, src: &str, class: FileClass) -> Vec<Finding> {
-    let lexed = lex(src);
-    let tokens = strip_test_items(&lexed.tokens);
+/// Run the per-file rules that `class` selects over one parsed file.
+pub fn run(pf: &ParsedFile, class: FileClass) -> Vec<Finding> {
     let mut out = Vec::new();
     if class.virtual_time {
-        rule_l1(path, &tokens, &mut out);
+        rule_l1(pf, &mut out);
     }
     if class.ordering_sensitive {
-        rule_l2(path, &tokens, &mut out);
+        rule_l2(pf, &mut out);
     }
     if class.simulator {
-        rule_l3(path, &tokens, &lexed, &mut out);
-        rule_l4(path, &tokens, &mut out);
+        rule_l3(pf, &mut out);
+        rule_l4(pf, &mut out);
     }
     if class.hot_path {
-        rule_l5(path, &tokens, &mut out);
-        rule_l6(path, &tokens, &lexed, &mut out);
+        rule_l5(pf, &mut out);
+        rule_l6(pf, &mut out);
     }
     out.sort_by_key(|a| (a.line, a.rule));
     out.dedup();
     out
 }
 
-fn ident(t: Option<&Token>) -> Option<&str> {
-    match t.map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(t: Option<&Token>, c: char) -> bool {
-    matches!(t.map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
-}
-
 // --------------------------------------------------------------------- L1
 
 /// Wall-clock primitives in simulated code. `Duration` is fine (used for
 /// real-time escapes' spans); the *clock reads* are what break purity.
-fn rule_l1(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
+fn rule_l1(pf: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &pf.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
-        let name = match &t.tok {
-            Tok::Ident(s) => s.as_str(),
-            _ => continue,
-        };
-        let flagged = match name {
-            "Instant" | "SystemTime" => Some(format!(
+        let msg = match clock_at(toks, i) {
+            Some("thread::sleep") => "`thread::sleep` blocks real time inside the simulation — \
+                                      use virtual-time waits"
+                .to_string(),
+            Some(name) => format!(
                 "`{name}` is wall-clock state in simulated code — use VTime/VClock, \
                  or allowlist this real-time bridge in lint.toml"
-            )),
-            "sleep"
-                if i >= 2
-                    && ident(toks.get(i - 1)).is_none()
-                    && is_punct(toks.get(i - 1), ':')
-                    && is_punct(toks.get(i - 2), ':')
-                    && ident(toks.get(i.wrapping_sub(3))) == Some("thread") =>
-            {
-                Some(
-                    "`thread::sleep` blocks real time inside the simulation — \
-                     use virtual-time waits"
-                        .to_string(),
-                )
-            }
-            _ => None,
+            ),
+            None => continue,
         };
-        if let Some(msg) = flagged {
-            out.push(Finding {
-                rule: Rule::L1,
-                path: path.to_string(),
-                line: t.line,
-                msg,
-                witness: Vec::new(),
-            });
-        }
+        out.push(Finding::local(Rule::L1, pf, t.line, msg));
     }
 }
 
 // --------------------------------------------------------------------- L2
 
-fn rule_l2(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
-    for t in toks {
-        if let Tok::Ident(s) = &t.tok {
-            if s == "HashMap" || s == "HashSet" {
-                out.push(Finding {
-                    rule: Rule::L2,
-                    path: path.to_string(),
-                    line: t.line,
-                    msg: format!(
-                        "`{s}` iteration order is randomized per process and can break \
-                         same-seed trace identity — use BTree{} here",
-                        &s[4..]
-                    ),
-                    witness: Vec::new(),
-                });
-            }
+fn rule_l2(pf: &ParsedFile, out: &mut Vec<Finding>) {
+    for t in &pf.lexed.tokens {
+        if let Some(s @ ("HashMap" | "HashSet")) = ident(Some(t)) {
+            let msg = format!(
+                "`{s}` iteration order is randomized per process and can break \
+                 same-seed trace identity — use BTree{} here",
+                &s[4..]
+            );
+            out.push(Finding::local(Rule::L2, pf, t.line, msg));
         }
     }
 }
@@ -304,8 +268,9 @@ fn rule_l2(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
 /// the same line, on one of the 3 lines above, or by chaining: the line
 /// directly above contains an already-justified site (so one comment covers
 /// a contiguous run of stores).
-fn rule_l3(path: &str, toks: &[Token], lexed: &Lexed, out: &mut Vec<Finding>) {
-    let comment_lines = lexed.comment_lines_containing("ordering:");
+fn rule_l3(pf: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &pf.lexed.tokens;
+    let comment_lines = pf.lexed.comment_lines_containing("ordering:");
     let mut justified: Vec<u32> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if ident(Some(t)) != Some("Ordering") {
@@ -324,16 +289,11 @@ fn rule_l3(path: &str, toks: &[Token], lexed: &Lexed, out: &mut Vec<Finding>) {
         if by_comment || by_chain {
             justified.push(line);
         } else {
-            out.push(Finding {
-                rule: Rule::L3,
-                path: path.to_string(),
-                line,
-                msg: format!(
-                    "`Ordering::{which}` without an adjacent `// ordering:` justification \
-                     comment (same line, up to 3 lines above, or continuing a justified run)"
-                ),
-                witness: Vec::new(),
-            });
+            let msg = format!(
+                "`Ordering::{which}` without an adjacent `// ordering:` justification \
+                 comment (same line, up to 3 lines above, or continuing a justified run)"
+            );
+            out.push(Finding::local(Rule::L3, pf, line, msg));
         }
     }
 }
@@ -354,156 +314,36 @@ const BLOCKING_CALLS: &[&str] = &[
     "send_now",
 ];
 
-/// Guard-producing calls.
-const GUARD_CALLS: &[&str] = &["lock", "read", "write"];
-
-#[derive(Debug)]
-struct Guard {
-    name: String,
-    depth: usize,
-    line: u32,
-}
-
-/// Track `let g = ….lock();`-style bindings per brace depth; flag a
-/// blocking call while any guard is live in an enclosing scope, unless the
-/// call's arguments mention the guard (condvar waits take the guard by
-/// `&mut`, which is the sanctioned pattern) or the guard was `drop`ped.
-fn rule_l4(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
-    let mut depth = 0usize;
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i].tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|g| g.depth <= depth);
-            }
-            Tok::Ident(w) if w == "let" => {
-                if let Some((name, end)) = guard_binding(toks, i) {
-                    guards.push(Guard {
-                        name,
-                        depth,
-                        line: toks[i].line,
-                    });
-                    i = end;
-                    continue;
-                }
-            }
-            Tok::Ident(w) if w == "drop" && is_punct(toks.get(i + 1), '(') => {
-                if let Some(name) = ident(toks.get(i + 2)) {
-                    guards.retain(|g| g.name != name);
-                }
-            }
-            Tok::Ident(w)
-                if BLOCKING_CALLS.contains(&w.as_str()) && is_punct(toks.get(i + 1), '(') =>
-            {
-                // Only flag method/function *calls*; `.recv()` and
-                // `recv(…)` both match, a field named `wait` does not.
-                let close = match_paren(toks, i + 1);
-                let args: Vec<&str> = toks[i + 2..close]
-                    .iter()
-                    .filter_map(|t| match &t.tok {
-                        Tok::Ident(s) => Some(s.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                for g in &guards {
-                    if !args.contains(&g.name.as_str()) {
-                        out.push(Finding {
-                            rule: Rule::L4,
-                            path: path.to_string(),
-                            line: toks[i].line,
-                            msg: format!(
-                                "blocking call `{w}` while lock guard `{}` (taken on line {}) \
-                                 is held — deadlock-prone; drop the guard first or pass it \
-                                 to the wait",
-                                g.name, g.line
-                            ),
-                            witness: Vec::new(),
-                        });
-                    }
-                }
-            }
-            _ => {}
+/// Flag a blocking call made while a lock guard is live, using the guards
+/// the parser tracked for each call site (`let g = ….lock();` bindings,
+/// scoped by braces, ended by `drop(g)`, never leaking into a nested fn).
+/// A call whose arguments mention the guard is the sanctioned condvar
+/// pattern (the wait takes the guard by `&mut`) and is not flagged.
+fn rule_l4(pf: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &pf.lexed.tokens;
+    for call in pf.fns.iter().flat_map(|f| &f.calls) {
+        if call.held.is_empty() || !BLOCKING_CALLS.contains(&call.name.as_str()) {
+            continue;
         }
-        i += 1;
-    }
-}
-
-/// If the statement starting at `let` (index `i`) binds a plain identifier
-/// to an expression ending in `.lock()`/`.read()`/`.write()`, return the
-/// bound name and the index of the terminating `;`.
-fn guard_binding(toks: &[Token], i: usize) -> Option<(String, usize)> {
-    let mut j = i + 1;
-    if ident(toks.get(j)) == Some("mut") {
-        j += 1;
-    }
-    let name = ident(toks.get(j))?.to_string();
-    if !is_punct(toks.get(j + 1), '=') {
-        return None;
-    }
-    // Scan to the statement-terminating `;` at bracket depth 0.
-    let mut k = j + 2;
-    let mut d = 0i32;
-    while k < toks.len() {
-        match toks[k].tok {
-            Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => d += 1,
-            Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => d -= 1,
-            Tok::Punct(';') if d == 0 => break,
-            _ => {}
+        let close = matching(toks, call.at + 1, toks.len(), '(', ')');
+        let args: Vec<&str> = toks[call.at + 2..close]
+            .iter()
+            .filter_map(|t| ident(Some(t)))
+            .collect();
+        for g in call
+            .held
+            .iter()
+            .filter(|g| !args.contains(&g.name.as_str()))
+        {
+            let msg = format!(
+                "blocking call `{}` while lock guard `{}` (taken on line {}) \
+                 is held — deadlock-prone; drop the guard first or pass it \
+                 to the wait",
+                call.name, g.name, g.line
+            );
+            out.push(Finding::local(Rule::L4, pf, call.line, msg));
         }
-        k += 1;
     }
-    // Expression must end `… . lock ( )` (or read/write).
-    if k >= 4
-        && is_punct(toks.get(k - 1), ')')
-        && is_punct(toks.get(k - 2), '(')
-        && ident(toks.get(k - 3)).is_some_and(|m| GUARD_CALLS.contains(&m))
-        && is_punct(toks.get(k - 4), '.')
-    {
-        Some((name, k))
-    } else {
-        None
-    }
-}
-
-fn match_brace(toks: &[Token], open: usize) -> usize {
-    let mut d = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        match toks[i].tok {
-            Tok::Punct('{') => d += 1,
-            Tok::Punct('}') => {
-                d -= 1;
-                if d == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-fn match_paren(toks: &[Token], open: usize) -> usize {
-    let mut d = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        match toks[i].tok {
-            Tok::Punct('(') => d += 1,
-            Tok::Punct(')') => {
-                d -= 1;
-                if d == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
 }
 
 // --------------------------------------------------------------------- L5
@@ -512,26 +352,20 @@ fn match_paren(toks: &[Token], open: usize) -> usize {
 /// whose arguments route through `deadlock_report` or `tail_report` is the
 /// sanctioned diagnostic form; `sim_panic!` and `or_diag` are distinct
 /// identifiers and never match.
-fn rule_l5(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
+fn rule_l5(pf: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &pf.lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         match ident(toks.get(i)) {
             Some("panic") if is_punct(toks.get(i + 1), '!') && is_punct(toks.get(i + 2), '(') => {
-                let close = match_paren(toks, i + 2);
-                let diagnostic = toks[i + 3..close].iter().any(|t| {
-                    matches!(&t.tok, Tok::Ident(s)
-                        if s == "deadlock_report" || s == "tail_report")
-                });
+                let close = matching(toks, i + 2, toks.len(), '(', ')');
+                let diagnostic = toks[i + 3..close]
+                    .iter()
+                    .any(|t| matches!(ident(Some(t)), Some("deadlock_report" | "tail_report")));
                 if !diagnostic {
-                    out.push(Finding {
-                        rule: Rule::L5,
-                        path: path.to_string(),
-                        line: toks[i].line,
-                        msg: "bare `panic!` on an engine hot path — use `spsim::sim_panic!` \
-                              or embed `deadlock_report`/`tail_report` in the message"
-                            .to_string(),
-                        witness: Vec::new(),
-                    });
+                    let msg = "bare `panic!` on an engine hot path — use `spsim::sim_panic!` \
+                               or embed `deadlock_report`/`tail_report` in the message";
+                    out.push(Finding::local(Rule::L5, pf, toks[i].line, msg.to_string()));
                 }
                 i = close + 1;
                 continue;
@@ -539,16 +373,11 @@ fn rule_l5(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
             Some(m @ ("unwrap" | "expect"))
                 if i >= 1 && is_punct(toks.get(i - 1), '.') && is_punct(toks.get(i + 1), '(') =>
             {
-                out.push(Finding {
-                    rule: Rule::L5,
-                    path: path.to_string(),
-                    line: toks[i].line,
-                    msg: format!(
-                        "`.{m}()` on an engine hot path dies without simulator context — \
-                         use `spsim::OrDiag::or_diag` so the trace tail is attached"
-                    ),
-                    witness: Vec::new(),
-                });
+                let msg = format!(
+                    "`.{m}()` on an engine hot path dies without simulator context — \
+                     use `spsim::OrDiag::or_diag` so the trace tail is attached"
+                );
+                out.push(Finding::local(Rule::L5, pf, toks[i].line, msg));
             }
             _ => {}
         }
@@ -558,43 +387,21 @@ fn rule_l5(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
 
 // --------------------------------------------------------------------- L6
 
-/// Calls that make a loop a *wait* loop: each iteration blocks, parks,
-/// yields, or pumps the simulator waiting for another thread (or the
-/// fabric) to change state. A loop that only transforms local data never
-/// matches and needs no annotation.
-const WAIT_PROBES: &[&str] = &[
-    "wait",
-    "wait_for",
-    "wait_until",
-    "wait_while",
-    "recv",
-    "recv_merge",
-    "recv_timeout",
-    "poll_step",
-    "park",
-    "park_timeout",
-    "yield_now",
-];
-
 /// Unbounded virtual-time wait loops need a `// liveness:` justification
 /// naming their wakeup source. A `loop`/`while` (including `while let`)
-/// whose condition or body contains a wait-probe call (see
-/// [`WAIT_PROBES`]) is a wait loop: its termination depends on some other
+/// whose condition or body calls `poll_step` or a wait probe (see
+/// [`WAIT_PROBES`]) is a wait loop: each iteration blocks, parks, yields,
+/// or pumps the simulator, so its termination depends on some other
 /// thread making progress — exactly the kind of cross-thread contract a
 /// reader cannot reconstruct from the loop itself, and the code the
 /// node-failure domain must audit (every such loop needs a wakeup *or* a
-/// poison path when the peer it waits on dies). The justification is a
-/// comment block directly above the loop (or on the loop's own line)
-/// containing `liveness:` — contiguity, not a fixed distance, so
-/// multi-line explanations stay legal.
-fn rule_l6(path: &str, toks: &[Token], lexed: &Lexed, out: &mut Vec<Finding>) {
-    let comment_lines = lexed.comment_lines_containing("");
-    let liveness = lexed.comment_lines_containing("liveness:");
-    let justified = |line: u32| {
-        liveness
-            .iter()
-            .any(|&c| c == line || (c < line && (c + 1..line).all(|l| comment_lines.contains(&l))))
-    };
+/// poison path when the peer it waits on dies). A loop that only
+/// transforms local data never matches and needs no annotation. The
+/// justification is a comment block directly above the loop (or on the
+/// loop's own line) containing `liveness:` — contiguity, not a fixed
+/// distance, so multi-line explanations stay legal.
+fn rule_l6(pf: &ParsedFile, out: &mut Vec<Finding>) {
+    let toks = &pf.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
         let kw = match ident(Some(t)) {
             Some(k @ ("loop" | "while")) => k,
@@ -610,23 +417,18 @@ fn rule_l6(path: &str, toks: &[Token], lexed: &Lexed, out: &mut Vec<Finding>) {
         if kw == "loop" && open != i + 1 {
             continue; // `loop` introduces a loop only as `loop {`
         }
-        let close = match_brace(toks, open);
+        let close = matching(toks, open, toks.len(), '{', '}');
         let is_wait_loop = (i + 1..close).any(|j| {
-            ident(toks.get(j)).is_some_and(|w| WAIT_PROBES.contains(&w))
+            ident(toks.get(j)).is_some_and(|w| w == "poll_step" || WAIT_PROBES.contains(&w))
                 && is_punct(toks.get(j + 1), '(')
         });
-        if is_wait_loop && !justified(t.line) {
-            out.push(Finding {
-                rule: Rule::L6,
-                path: path.to_string(),
-                line: t.line,
-                msg: format!(
-                    "`{kw}` waits on another thread without a `// liveness:` comment — \
-                     name the wakeup source (who fills the slot / notifies the cv / \
-                     closes the queue) in a comment block directly above the loop"
-                ),
-                witness: Vec::new(),
-            });
+        if is_wait_loop && !pf.lexed.marks(t.line, "liveness:") {
+            let msg = format!(
+                "`{kw}` waits on another thread without a `// liveness:` comment — \
+                 name the wakeup source (who fills the slot / notifies the cv / \
+                 closes the queue) in a comment block directly above the loop"
+            );
+            out.push(Finding::local(Rule::L6, pf, t.line, msg));
         }
     }
 }

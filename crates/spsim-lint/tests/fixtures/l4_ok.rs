@@ -1,6 +1,7 @@
 // lint-as: crates/lapi/src/engine.rs
-// Fixture: the three sanctioned shapes — guard passed to the wait (condvar
-// pattern), guard dropped first, and guard confined to an inner scope.
+// Fixture: the sanctioned shapes — guard passed to the wait (condvar
+// pattern), guard dropped first, guard confined to an inner scope, and a
+// blocking call in a nested fn, which the outer guard does not reach.
 
 fn condvar_wait(slot: &Slot) {
     let mut st = slot.st.lock();
@@ -23,4 +24,13 @@ fn scope_before_recv(q: &Queue, ch: &Chan) {
         st.pending += 1;
     }
     let _pkt = ch.recv();
+}
+
+fn guard_then_nested_fn(q: &Queue) {
+    let mut st = q.state.lock();
+    // The nested fn is its own item: `st` is not held inside it.
+    fn helper(ch: &Chan) {
+        let _pkt = ch.recv();
+    }
+    st.pending += 1;
 }

@@ -8,7 +8,7 @@ use std::process::Command;
 
 use spsim_lint::allowlist::Allowlist;
 use spsim_lint::rules::{Finding, Rule};
-use spsim_lint::{analyze_set, lint_file, lint_root};
+use spsim_lint::{lint_file, lint_root, lint_sources};
 
 fn fixture(name: &str) -> (String, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -86,6 +86,12 @@ fn l6_fires_on_unannotated_wait_loops_only() {
 }
 
 #[test]
+fn raw_identifiers_do_not_derail_the_lexer() {
+    let f = run_fixture("raw_ident.rs");
+    assert_eq!(f, vec![(Rule::L2, 12), (Rule::L1, 13)], "{f:?}");
+}
+
+#[test]
 fn findings_carry_stable_lines() {
     // Line numbers must address the offending token, not drift with
     // multi-line strings or comments above.
@@ -104,11 +110,15 @@ fn findings_carry_stable_lines() {
 
 // ------------------------------------------------------------ A-rules
 
-/// Run the interprocedural analyzer over a set of fixtures as one
-/// mini-workspace.
+/// Lint a set of fixtures as one mini-workspace and keep the
+/// interprocedural (A-rule) findings.
 fn analyze_fixtures(names: &[&str], allow: &Allowlist) -> Vec<Finding> {
     let files: Vec<(String, String)> = names.iter().map(|n| fixture(n)).collect();
-    analyze_set(&files, allow)
+    lint_sources(&files, allow)
+        .findings
+        .into_iter()
+        .filter(|f| f.rule.code().starts_with('A'))
+        .collect()
 }
 
 fn witness_labels(f: &Finding) -> Vec<&str> {
