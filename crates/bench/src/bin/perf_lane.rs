@@ -3,10 +3,15 @@
 //! ```text
 //! perf_lane                 run the full lane, print JSON to stdout
 //! perf_lane --out PATH      …and also write the JSON to PATH
-//! perf_lane --check PATH    re-measure the packets/sec metrics and exit
-//!                           nonzero if either regressed >20% against the
-//!                           committed baseline at PATH
+//! perf_lane --check PATH    re-measure queue_rings_pps, adapter_rings_pps
+//!                           and scale_n1024_pps and exit nonzero if any of
+//!                           them regressed >20% against the committed
+//!                           baseline at PATH
 //! ```
+//!
+//! `--check` gates only those three keys; the rest of the lane (the heap
+//! path, the sweeps, the other scaling points and `sched_handoff_ns`) is
+//! recorded, not gated.
 
 use lapi_bench::perf;
 use spsim::DeliveryPath;

@@ -12,6 +12,9 @@
 //!   through `Network`/`Adapter` under each path;
 //! * **sweep runtimes**: wall-clock seconds for the quick Figure 2 and
 //!   Figure 3 reproductions, the numbers a contributor actually waits on;
+//! * **scheduler handoff** (ladder rung L0): wall-clock ns per fiber →
+//!   fiber park/unpark round trip on the pooled scheduler, the cost every
+//!   simulated packet wake pays. Recorded, not gated;
 //! * **node-count scaling**: end-to-end wall-clock seconds and
 //!   simulated-packets/sec for a ring-neighbor SPMD job at
 //!   n ∈ {4, 64, 256, 1024} under the M:N pooled scheduler, plus a
@@ -52,6 +55,11 @@ const SCALE_NODES: [usize; 4] = [4, 64, 256, 1024];
 /// small, because the quantity under test is the per-node scheduling cost,
 /// not steady-state delivery throughput (the storm above covers that).
 const SCALE_PER_NODE: usize = 32;
+/// Round trips per handoff measurement: fixed work of at least 200 ms at
+/// the ~0.8 µs a round trip costs on a 2-core x86-64 host.
+const HANDOFF_ROUND_TRIPS: usize = 300_000;
+/// Repetitions of the handoff measurement; the lane records the median.
+const HANDOFF_REPS: usize = 5;
 
 /// One node-count point of the scaling lane.
 #[derive(Debug, Clone)]
@@ -79,6 +87,9 @@ pub struct PerfReport {
     pub fig2_quick_secs: f64,
     /// Wall-clock seconds for the quick Figure 3 sweep.
     pub fig3_quick_secs: f64,
+    /// Wall-clock ns per fiber → fiber park/unpark round trip (pooled
+    /// scheduler, default worker count).
+    pub sched_handoff_ns: f64,
     /// The node-count scaling lane (pooled scheduler), one point per entry
     /// of [`SCALE_NODES`].
     pub scale: Vec<ScalePoint>,
@@ -190,6 +201,41 @@ pub fn measure_adapter_pps(path: DeliveryPath) -> f64 {
     total as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Wall-clock ns per fiber → fiber park/unpark round trip: two pooled
+/// fibers pass a token through a [`spsim::SimCondvar`], each pass one
+/// unpark of the partner and one park of the passer. Median of
+/// [`HANDOFF_REPS`] runs of [`HANDOFF_ROUND_TRIPS`] round trips.
+pub fn measure_sched_handoff_ns() -> f64 {
+    let mut runs: Vec<f64> = (0..HANDOFF_REPS)
+        .map(|_| measure_sched_handoff_ns_with(HANDOFF_ROUND_TRIPS))
+        .collect();
+    runs.sort_by(|a, b| a.total_cmp(b));
+    runs[runs.len() / 2]
+}
+
+fn measure_sched_handoff_ns_with(round_trips: usize) -> f64 {
+    let passes = 2 * round_trips;
+    // (whose turn, passes so far)
+    let token = parking_lot::Mutex::new((0usize, 0usize));
+    let cv = spsim::SimCondvar::new();
+    let start = Instant::now();
+    spsim::run_spmd(2, |rank| {
+        let mut g = token.lock();
+        loop {
+            while g.0 != rank && g.1 < passes {
+                cv.wait(&mut g);
+            }
+            if g.1 >= passes {
+                return;
+            }
+            g.0 = 1 - rank;
+            g.1 += 1;
+            cv.notify_one();
+        }
+    });
+    start.elapsed().as_nanos() as f64 / round_trips as f64
+}
+
 /// End-to-end SPMD wall clock for an `n`-node ring-neighbor job: every
 /// node injects [`SCALE_PER_NODE`] packets toward `(rank + 1) % n` and
 /// drains as many, through the full `Network`/`Adapter` stack and
@@ -247,6 +293,7 @@ pub fn run_full() -> PerfReport {
     let t = Instant::now();
     let _ = crate::experiments::fig3::run(true);
     let fig3_quick_secs = t.elapsed().as_secs_f64();
+    let sched_handoff_ns = measure_sched_handoff_ns();
     let scale = SCALE_NODES
         .iter()
         .map(|&n| measure_scale_point(n))
@@ -259,6 +306,7 @@ pub fn run_full() -> PerfReport {
         adapter_heap_pps,
         fig2_quick_secs,
         fig3_quick_secs,
+        sched_handoff_ns,
         scale,
         scale_n4_threads_secs,
     }
@@ -291,6 +339,10 @@ pub fn to_json(r: &PerfReport) -> String {
         (
             "fig3_quick_secs".into(),
             format!("{:.1}", r.fig3_quick_secs),
+        ),
+        (
+            "sched_handoff_ns".into(),
+            format!("{:.1}", r.sched_handoff_ns),
         ),
     ];
     for p in &r.scale {
@@ -340,6 +392,7 @@ mod tests {
             adapter_heap_pps: 400_000.0,
             fig2_quick_secs: 12.25,
             fig3_quick_secs: 8.5,
+            sched_handoff_ns: 4_321.25,
             scale: vec![ScalePoint {
                 nodes: 4,
                 secs: 0.0125,
@@ -354,7 +407,8 @@ mod tests {
         assert_eq!(parsed["scale_n4_secs"], 0.0125, "four decimal places");
         assert_eq!(parsed["scale_n4_pps"], 10_240.0);
         assert_eq!(parsed["scale_n4_threads_secs"], 0.025);
-        assert_eq!(parsed.len(), 10);
+        assert_eq!(parsed["sched_handoff_ns"], 4_321.2);
+        assert_eq!(parsed.len(), 11);
     }
 
     #[test]
@@ -363,6 +417,11 @@ mod tests {
         // report a positive rate.
         assert!(measure_queue_pps_with(DeliveryPath::Heap, 2_000) > 0.0);
         assert!(measure_queue_pps_with(DeliveryPath::Rings, 2_000) > 0.0);
+    }
+
+    #[test]
+    fn handoff_rung_completes_and_reports_a_cost() {
+        assert!(measure_sched_handoff_ns_with(1_000) > 0.0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   16-instruction x86-64 context switch ([`spsim_ctx_switch`]). A task's
 //!   blocking points (queue waits, barrier parks, engine condvars) switch
 //!   back to the worker instead of blocking the OS thread, which is what
-//!   keeps a 1-core host (`SPSIM_WORKERS=1`) live: a single worker round-
-//!   robins every runnable task.
+//!   keeps a 1-core host (`SPSIM_WORKERS=1`) live: a single worker cycles
+//!   through every runnable task.
 //! * **[`SimCondvar`]** — a condition variable whose waiters park through
 //!   the scheduler when called from a fiber and fall back to the raw
 //!   condvar on plain threads, so the same call sites serve both the
@@ -28,6 +28,17 @@
 //!   one full cycle of pending timers per external progress signal —
 //!   stops that from busy-spinning when a timeout genuinely needs wall
 //!   time to pass (deadlock escapes keep their legacy pacing).
+//! * **Wake path** — waking a fiber needs no futex syscall and no
+//!   cross-core reschedule in the common case. A fiber that wakes an
+//!   unpinned task while the global queue is empty puts it in its
+//!   worker's *run-next* slot, and the worker runs it as soon as that
+//!   fiber parks; since the slot only fills behind an empty queue, the
+//!   run order stays FIFO and no fiber pair can starve another. A worker
+//!   that runs out of work spins for [`IDLE_SPIN`] on a lock-free push
+//!   counter (one spinner at a time), then steals any run-next task, then
+//!   sleeps. Every wake goes through one rule, `Sched::wake_one`: no
+//!   `notify_one` while a worker spins or when none sleeps. None of it is
+//!   a knob.
 //!
 //! Determinism: traces and results are functions of virtual timestamps and
 //! queue insertion sequence only — the existing determinism suite already
@@ -121,6 +132,7 @@ pub fn set_worker_cap(cap: Option<usize>) {
         s.ensure_workers(&mut st, target);
         drop(st);
         s.work_cv.notify_all();
+        s.idle_cv.notify_all();
     }
 }
 
@@ -515,6 +527,7 @@ impl Ord for TimerEnt {
 }
 
 struct SchedState {
+    /// The global ready queue.
     ready: VecDeque<Arc<Task>>,
     timers: BinaryHeap<TimerEnt>,
     timer_seq: u64,
@@ -522,8 +535,10 @@ struct SchedState {
     running: usize,
     /// Unfinished tasks (running + ready + parked).
     live: usize,
-    /// Spawned worker threads.
-    workers: usize,
+    /// One run-next slot per spawned worker thread: a task the fiber
+    /// running there woke, to run on that worker as soon as the fiber
+    /// parks, with no cross-worker wake.
+    run_next: Vec<Option<Arc<Task>>>,
     /// Workers with index >= this cap idle (test hook / lowered override).
     active_cap: usize,
     /// Eagerly fired timers since the last external progress signal.
@@ -534,8 +549,31 @@ struct SchedState {
 
 struct Sched {
     state: Mutex<SchedState>,
+    /// Where idle workers sleep until there is work.
     work_cv: Condvar,
+    /// Where workers above `active_cap` sleep, so a wake meant for a
+    /// worker that may run tasks is never absorbed by one that may not.
+    idle_cv: Condvar,
+    /// Workers waiting on `work_cv`, counted under the lock.
+    sleepers: AtomicUsize,
+    /// Pushes onto `ready` so far, bumped under the lock: the lock-free
+    /// "work available" hint an idle spinner polls for a change.
+    pushes: Padded<AtomicU64>,
+    /// Workers spinning before sleeping (0 or 1). Raised only under the
+    /// lock, lowered by the spinner outside it; see [`Sched::wake_one`].
+    spinning: AtomicUsize,
 }
+
+/// A value on a cache line of its own, so a spinner polling it does not
+/// contend with writes to the scheduler lock beside it.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// How long an idle worker spins on the push hint before it steals
+/// another worker's run-next task or sleeps on `work_cv`. Long enough to
+/// cover a fiber's run between two handoffs of a ping-pong, short enough
+/// that an idle pool sleeps almost at once.
+const IDLE_SPIN: Duration = Duration::from_micros(20);
 
 /// Bumped (lock-free) on every event that could unblock a parked task:
 /// condvar notifies, unparks, spawns, finishes. Workers reset the eager
@@ -567,12 +605,16 @@ impl Sched {
                 timer_seq: 0,
                 running: 0,
                 live: 0,
-                workers: 0,
+                run_next: Vec::new(),
                 active_cap: worker_cap(),
                 fired_since_progress: 0,
                 seen_progress: 0,
             }),
             work_cv: Condvar::new(),
+            idle_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+            pushes: Padded(AtomicU64::new(0)),
+            spinning: AtomicUsize::new(0),
         })
     }
 
@@ -583,13 +625,13 @@ impl Sched {
     /// Spawn worker threads up to `target` (never shrinks; a lowered cap
     /// just idles the excess).
     fn ensure_workers(&'static self, st: &mut SchedState, target: usize) {
-        while st.workers < target {
-            let wi = st.workers;
+        while st.run_next.len() < target {
+            let wi = st.run_next.len();
             std::thread::Builder::new()
                 .name(format!("spsim-worker-{wi}"))
                 .spawn(move || self.worker_loop(wi))
                 .or_diag("spawn scheduler worker");
-            st.workers += 1;
+            st.run_next.push(None);
         }
     }
 
@@ -600,10 +642,43 @@ impl Sched {
         st.active_cap = worker_cap();
         let target = st.live.clamp(1, st.active_cap);
         self.ensure_workers(&mut st, target);
-        st.ready.push_back(task);
+        self.push_ready(&mut st, task);
         drop(st);
         note_progress();
-        self.work_cv.notify_one();
+        self.wake_one();
+    }
+
+    /// Append a runnable task to the global queue and refresh the hint.
+    fn push_ready(&self, st: &mut SchedState, task: Arc<Task>) {
+        st.ready.push_back(task);
+        // ordering: the hint is advisory; whoever acts on it re-checks
+        // `ready` under the lock.
+        self.pushes.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Wake one sleeping worker for a task just made runnable (pushed
+    /// onto `ready` or put in a run-next slot), unless a worker is
+    /// spinning — the spinner takes it without a futex wake — or no worker
+    /// sleeps at all. Every unpinned wake site (spawn, unpark, Yield and
+    /// early-notified Park re-queues, Finish) goes through here; pinned
+    /// wakes use `notify_all`.
+    fn wake_one(&self) {
+        // No lost wakeup: the task was queued under the lock, before these
+        // SeqCst loads. A spinner lowers `spinning` (SeqCst) *before* it
+        // takes the lock to re-check the queues. If the first load still
+        // reads a spinner's raise, that spinner's lowering comes later in
+        // modification order, so its locked re-check cannot precede our
+        // queueing critical section (that would make the lowering
+        // happen-before this load): it sees the task. A sleeper counts
+        // itself in the critical section that found nothing to run and
+        // uncounts itself in the one that re-checks after waking: if the
+        // count predates our queueing, the lock orders it before the
+        // second load; if the uncount is what we read, the re-check in its
+        // critical section sees the task.
+        // ordering: SeqCst on both loads, per the argument above.
+        if self.spinning.load(Ordering::SeqCst) == 0 && self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.work_cv.notify_one();
+        }
     }
 
     /// Make a parked task runnable (or leave it a wake token if it has not
@@ -613,17 +688,33 @@ impl Sched {
         // ordering: both flags are only flipped under the scheduler lock.
         if task.parked.swap(false, Ordering::Relaxed) {
             task.timed_out.store(false, Ordering::Relaxed);
-            st.ready.push_back(Arc::clone(task));
             // ordering: pin writes happen-before via the scheduler lock.
             let pinned = task.pin.load(Ordering::Relaxed) != usize::MAX;
+            let waker = WORKER_ID.with(|w| w.get());
+            // A fiber woke it: run it on this worker when that fiber
+            // parks. Only into an empty slot with an empty global queue,
+            // so it passes no task that was runnable before it — the
+            // run order stays the global queue's FIFO order, and a pair
+            // of fibers waking each other cannot starve a third.
+            let to_run_next = !pinned
+                && on_fiber()
+                && st.ready.is_empty()
+                && st.run_next.get(waker).is_some_and(Option::is_none);
+            if to_run_next {
+                st.run_next[waker] = Some(Arc::clone(task));
+            } else {
+                self.push_ready(&mut st, Arc::clone(task));
+            }
             drop(st);
             note_progress();
             // A pinned task can only run on one worker — wake them all so
-            // the right one sees it.
+            // the right one sees it. A run-next task still wakes one idle
+            // worker, which steals it after its spin if this worker's
+            // fiber has not parked by then.
             if pinned {
                 self.work_cv.notify_all();
             } else {
-                self.work_cv.notify_one();
+                self.wake_one();
             }
         } else {
             // ordering: wake token is read back under the same lock.
@@ -644,6 +735,16 @@ impl Sched {
         st.ready.remove(idx)
     }
 
+    /// This worker's next task, and whether it came from its run-next
+    /// slot (always taken first: it was queued before anything now in the
+    /// global queue).
+    fn pick(st: &mut SchedState, wi: usize) -> Option<(Arc<Task>, bool)> {
+        if let Some(t) = st.run_next[wi].take() {
+            return Some((t, true));
+        }
+        Self::pop_ready(st, wi).map(|t| (t, false))
+    }
+
     /// Move every wall-clock-due (or stale) timer out of the heap; due
     /// tasks become ready with `timed_out` set.
     fn promote_due(&self, st: &mut SchedState, now: Instant) {
@@ -657,7 +758,7 @@ impl Sched {
                 // resumed fiber observes timed_out via the lock hand-off.
                 ent.task.parked.store(false, Ordering::Relaxed);
                 ent.task.timed_out.store(true, Ordering::Relaxed);
-                st.ready.push_back(ent.task);
+                self.push_ready(st, ent.task);
             }
         }
     }
@@ -683,70 +784,142 @@ impl Sched {
     fn worker_loop(&'static self, wi: usize) {
         WORKER_ID.with(|w| w.set(wi));
         loop {
-            let task = {
-                let mut st = self.lock();
-                loop {
-                    if wi >= st.active_cap {
-                        st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                        continue;
-                    }
-                    // ordering: a progress epoch change resets the eager
-                    // budget; relaxed is fine (see note_progress).
-                    let ep = PROGRESS.load(Ordering::Relaxed);
-                    if ep != st.seen_progress {
-                        st.seen_progress = ep;
-                        st.fired_since_progress = 0;
-                    }
-                    self.promote_due(&mut st, Instant::now());
-                    if let Some(t) = Self::pop_ready(&mut st, wi) {
+            let task = self.next_task(wi);
+            self.run_task(task, wi);
+        }
+    }
+
+    /// Block until this worker has a task to run: pick one (run-next slot
+    /// or global queue), fire a timer early when the pool is quiescent,
+    /// else spin for up to [`IDLE_SPIN`], then steal a run-next task, then
+    /// sleep until woken or the earliest deadline.
+    fn next_task(&'static self, wi: usize) -> Arc<Task> {
+        let mut st = self.lock();
+        // End of this idle spell's spin budget, once it has started: a
+        // spinner that loses a task to another worker spins on for the
+        // rest of the budget, then steals a run-next task or sleeps.
+        let mut spin_until: Option<Instant> = None;
+        loop {
+            if wi >= st.active_cap {
+                if let Some(t) = st.run_next[wi].take() {
+                    self.push_ready(&mut st, t);
+                    self.work_cv.notify_all();
+                }
+                // liveness: set_worker_cap notifies idle_cv when it raises
+                // the cap.
+                st = self.idle_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            // ordering: a progress epoch change resets the eager budget;
+            // relaxed is fine (see note_progress).
+            let ep = PROGRESS.load(Ordering::Relaxed);
+            if ep != st.seen_progress {
+                st.seen_progress = ep;
+                st.fired_since_progress = 0;
+            }
+            self.promote_due(&mut st, Instant::now());
+            if let Some((t, from_next)) = Self::pick(&mut st, wi) {
+                st.running += 1;
+                // A spinner's notifiers elided their wakes for it, and a
+                // run-next pick leaves the global queue to others: either
+                // way, pass a wake on to a sleeper if work remains.
+                let rewake = (spin_until.is_some() || from_next) && !st.ready.is_empty();
+                drop(st);
+                if rewake {
+                    self.wake_one();
+                }
+                return t;
+            }
+            // Quiescent fast-forward: nothing runnable anywhere — wall
+            // sleeping cannot change the virtual outcome, so fire the
+            // earliest deadline now. The budget (one cycle of pending
+            // timers per progress signal) keeps a genuine no-progress
+            // state at legacy wall pacing.
+            if st.running == 0
+                && st.ready.is_empty()
+                && st.run_next.iter().all(Option::is_none)
+                && st.fired_since_progress < st.timers.len()
+            {
+                if let Some(ent) = Self::pop_valid_timer(&mut st) {
+                    st.fired_since_progress += 1;
+                    // ordering: under the scheduler lock, as above.
+                    let p = ent.task.pin.load(Ordering::Relaxed);
+                    ent.task.parked.store(false, Ordering::Relaxed);
+                    ent.task.timed_out.store(true, Ordering::Relaxed);
+                    if p == usize::MAX || p == wi {
                         st.running += 1;
-                        break t;
+                        return ent.task;
                     }
-                    // Quiescent fast-forward: nothing runnable anywhere —
-                    // wall sleeping cannot change the virtual outcome, so
-                    // fire the earliest deadline now. The budget (one
-                    // cycle of pending timers per progress signal) keeps a
-                    // genuine no-progress state at legacy wall pacing.
-                    if st.running == 0
-                        && st.ready.is_empty()
-                        && st.fired_since_progress < st.timers.len()
-                    {
-                        if let Some(ent) = Self::pop_valid_timer(&mut st) {
-                            st.fired_since_progress += 1;
-                            // ordering: under the scheduler lock, as above.
-                            let p = ent.task.pin.load(Ordering::Relaxed);
-                            ent.task.parked.store(false, Ordering::Relaxed);
-                            ent.task.timed_out.store(true, Ordering::Relaxed);
-                            if p == usize::MAX || p == wi {
-                                st.running += 1;
-                                break ent.task;
-                            }
-                            st.ready.push_back(ent.task);
-                            drop(st);
-                            self.work_cv.notify_all();
-                            st = self.lock();
-                            continue;
-                        }
-                    }
-                    match Self::earliest_deadline(&mut st) {
-                        Some(d) => {
-                            let now = Instant::now();
-                            if d > now {
-                                let (g, _) = self
-                                    .work_cv
-                                    .wait_timeout(st, d - now)
-                                    .unwrap_or_else(|e| e.into_inner());
-                                st = g;
-                            }
-                        }
-                        // liveness: woken by spawn_task/unpark/set_worker_cap
-                        // notifies; with no pending timers there is nothing
-                        // to time out toward.
-                        None => st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
+                    self.push_ready(&mut st, ent.task);
+                    drop(st);
+                    self.work_cv.notify_all();
+                    st = self.lock();
+                    continue;
+                }
+            }
+            let until = *spin_until.get_or_insert_with(|| Instant::now() + IDLE_SPIN);
+            let spin_left = Instant::now() < until;
+            if !spin_left {
+                // Spin spent with nothing else to run: steal any worker's
+                // run-next task, so an owner whose fiber runs long (or
+                // blocks its thread) cannot strand it.
+                if let Some(t) = st.run_next.iter_mut().find_map(Option::take) {
+                    st.running += 1;
+                    return t;
+                }
+            }
+            // ordering: raised only under the lock, so at most one worker
+            // spins; lowered SeqCst before the re-check (see wake_one).
+            if spin_left && self.spinning.load(Ordering::SeqCst) == 0 {
+                self.spinning.store(1, Ordering::SeqCst);
+                // ordering: read under the lock every push bumps it under.
+                let seen = self.pushes.0.load(Ordering::Relaxed);
+                drop(st);
+                self.spin_for_work(seen, until);
+                // ordering: lowered before the locked re-check (wake_one).
+                self.spinning.store(0, Ordering::SeqCst);
+                st = self.lock();
+                continue;
+            }
+            // ordering: counted and uncounted under the lock (see wake_one).
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            match Self::earliest_deadline(&mut st) {
+                Some(d) => {
+                    let now = Instant::now();
+                    if d > now {
+                        let (g, _) = self
+                            .work_cv
+                            .wait_timeout(st, d - now)
+                            .unwrap_or_else(|e| e.into_inner());
+                        st = g;
                     }
                 }
-            };
-            self.run_task(task, wi);
+                // liveness: woken by spawn_task/unpark/set_worker_cap
+                // notifies; with no pending timers there is nothing to
+                // time out toward.
+                None => st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner()),
+            }
+            // ordering: as above.
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            spin_until = None;
+        }
+    }
+
+    /// Poll the push hint until it moves past `seen` or `until` passes.
+    // liveness: bounded by `until`; the caller re-checks `ready` under the
+    // lock either way.
+    fn spin_for_work(&self, seen: u64, until: Instant) {
+        loop {
+            for _ in 0..64 {
+                // ordering: advisory hint, re-checked under the lock.
+                if self.pushes.0.load(Ordering::Relaxed) != seen {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            if Instant::now() >= until {
+                return;
+            }
         }
     }
 
@@ -776,9 +949,9 @@ impl Sched {
             ExitKind::Yield => {
                 let mut st = self.lock();
                 st.running -= 1;
-                st.ready.push_back(task);
+                self.push_ready(&mut st, task);
                 drop(st);
-                self.work_cv.notify_one();
+                self.wake_one();
             }
             ExitKind::Park => {
                 let deadline = EXIT_DEADLINE.with(|d| d.take());
@@ -790,9 +963,9 @@ impl Sched {
                     // Unparked before the park completed: run again soon.
                     // ordering: still under the scheduler lock.
                     task.timed_out.store(false, Ordering::Relaxed);
-                    st.ready.push_back(task);
+                    self.push_ready(&mut st, task);
                     drop(st);
-                    self.work_cv.notify_one();
+                    self.wake_one();
                 } else {
                     // ordering: park flag and epoch flip under the lock;
                     // timer validation re-reads them under the same lock.
@@ -833,7 +1006,7 @@ impl Sched {
                 for w in &waiters {
                     self.unpark(w);
                 }
-                self.work_cv.notify_one();
+                self.wake_one();
             }
         }
     }
@@ -917,6 +1090,9 @@ pub struct SimCondvar {
     /// `fiber_wait`, so a registration that happens-before a notify (via
     /// that mutex) is always visible to the notifier's load.
     nfibers: AtomicUsize,
+    /// Plain threads blocked on `raw`, counted the same way, so a notify
+    /// with no thread waiter skips the raw condvar's futex wake.
+    nthreads: AtomicUsize,
 }
 
 impl SimCondvar {
@@ -926,6 +1102,7 @@ impl SimCondvar {
             raw: parking_lot::Condvar::new(),
             fibers: Mutex::new(VecDeque::new()),
             nfibers: AtomicUsize::new(0),
+            nthreads: AtomicUsize::new(0),
         }
     }
 
@@ -988,7 +1165,33 @@ impl SimCondvar {
                     None,
                 );
             }
-            None => self.raw.wait(guard),
+            None => self.thread_wait(|| self.raw.wait(guard)),
+        }
+    }
+
+    /// Block a plain thread on `raw`, counted in `nthreads` for the
+    /// duration.
+    fn thread_wait<R>(&self, block: impl FnOnce() -> R) -> R {
+        // ordering: SeqCst, like `nfibers`: the increment lands while the
+        // caller still holds its mutex, before `raw` releases it.
+        self.nthreads.fetch_add(1, Ordering::SeqCst);
+        let r = block();
+        // ordering: as above.
+        self.nthreads.fetch_sub(1, Ordering::SeqCst);
+        r
+    }
+
+    /// Wake one (or every) plain thread blocked on `raw`, if any.
+    fn notify_threads(&self, all: bool) {
+        // ordering: pairs with the increment in thread_wait, as the
+        // `nfibers` load pairs with fiber registration.
+        if self.nthreads.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        if all {
+            self.raw.notify_all();
+        } else {
+            self.raw.notify_one();
         }
     }
 
@@ -1023,7 +1226,9 @@ impl SimCondvar {
                 );
                 SimWaitTimeoutResult(timed_out)
             }
-            None => SimWaitTimeoutResult(self.raw.wait_until(guard, deadline).timed_out()),
+            None => SimWaitTimeoutResult(
+                self.thread_wait(|| self.raw.wait_until(guard, deadline).timed_out()),
+            ),
         }
     }
 
@@ -1038,7 +1243,7 @@ impl SimCondvar {
                 // tick will observe whatever state change this signals.
                 note_progress();
             }
-            self.raw.notify_one();
+            self.notify_threads(false);
             return;
         }
         let w = {
@@ -1057,7 +1262,7 @@ impl SimCondvar {
         } else if Sched::get().is_some() {
             note_progress();
         }
-        self.raw.notify_one();
+        self.notify_threads(false);
     }
 
     /// Wake all waiters (fibers and threads).
@@ -1067,7 +1272,7 @@ impl SimCondvar {
             if Sched::get().is_some() {
                 note_progress();
             }
-            self.raw.notify_all();
+            self.notify_threads(true);
             return;
         }
         let drained: Vec<_> = {
@@ -1085,7 +1290,7 @@ impl SimCondvar {
                 s.unpark(t);
             }
         }
-        self.raw.notify_all();
+        self.notify_threads(true);
     }
 }
 
