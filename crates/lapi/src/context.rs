@@ -380,16 +380,30 @@ impl LapiContext {
     /// request and deadlock the job.
     pub fn gfence(&self) -> LapiResult {
         self.engine.fence_all()?;
+        self.sync_among(self.tasks());
+        Ok(())
+    }
+
+    /// The barrier half of `LAPI_Gfence` over `expected` participants. A
+    /// polling node keeps serving its peers until the barrier releases: it
+    /// parks on its receive ring like every polling wait, and the arrival
+    /// that releases the barrier wakes it there.
+    fn sync_among(&self, expected: usize) {
+        let clock = self.engine.clock();
         match self.engine.mode() {
             Mode::Polling => {
-                self.barrier
-                    .wait_with_progress(self.engine.clock(), || self.engine.drain_arrived());
+                let engine = Arc::clone(&self.engine);
+                let me = self.barrier.arrive(
+                    clock,
+                    expected,
+                    Some(Box::new(move || engine.adapter().rx().wake_receiver())),
+                );
+                self.engine.poll_until(|| self.barrier.released(&me, clock));
             }
             Mode::Interrupt => {
-                self.barrier.wait(self.engine.clock());
+                self.barrier.wait_among(clock, expected);
             }
         }
-        Ok(())
     }
 
     /// Survivor-set `LAPI_Gfence`: fence and synchronize over the *live*
@@ -449,18 +463,7 @@ impl LapiContext {
         for &t in &survivors {
             self.engine.fence(t)?;
         }
-        match self.engine.mode() {
-            Mode::Polling => {
-                self.barrier
-                    .wait_among(self.engine.clock(), survivors.len(), || {
-                        self.engine.drain_arrived()
-                    });
-            }
-            Mode::Interrupt => {
-                self.barrier
-                    .wait_among(self.engine.clock(), survivors.len(), || {});
-            }
-        }
+        self.sync_among(survivors.len());
         Ok(survivors)
     }
 

@@ -44,13 +44,6 @@ pub enum Mode {
     Polling,
 }
 
-/// How long a polling wait spins on real time before re-checking (bounds
-/// latency of cross-thread wakeups; no effect on virtual time).
-const POLL_TICK: Duration = Duration::from_millis(2);
-
-/// How often the parked dispatcher re-checks the mode/termination flags.
-const DISPATCH_TICK: Duration = Duration::from_millis(10);
-
 /// User error handler registered at init (the `err_hndlr` argument of the
 /// real `LAPI_Init`): invoked for asynchronous communication failures that
 /// have no user call to return through (e.g. a dispatcher-side reply hitting
@@ -129,18 +122,8 @@ impl RmwFuture {
                 }
                 st.clone().or_diag("rmw slot filled but empty after wakeup")
             }
-            Mode::Polling => {
-                let deadline = Instant::now() + engine.escape;
-                // liveness: poll_step drives the dispatcher that fills the
-                // slot (or the peer dies and the slot is poisoned); it
-                // panics with a diagnostic past the real-time deadline.
-                loop {
-                    if let Some(r) = self.slot.st.lock().clone() {
-                        return r;
-                    }
-                    engine.poll_step(deadline);
-                }
-            }
+            // The reply packet fills the slot; peer death poisons it.
+            Mode::Polling => engine.poll_until(|| self.slot.st.lock().clone()),
         }
     }
 
@@ -335,6 +318,19 @@ impl Engine {
     pub(crate) fn set_mode(&self, mode: Mode) {
         *self.mode.lock() = mode;
         self.mode_cv.notify_all();
+        // A dispatcher parked on the ring must leave it for mode_cv.
+        self.adapter.rx().wake_receiver();
+    }
+
+    /// Wake this node's application if a polling wait has it parked on
+    /// the receive ring (see [`Self::poll_step`]): the waker for a state
+    /// change made on another thread. Interrupt-mode waits sleep on the
+    /// condvar of what they watch instead. The change is made before the
+    /// mode is read, so a later flip to polling already finds it.
+    fn wake_poller(&self) {
+        if self.mode() == Mode::Polling {
+            self.adapter.rx().wake_receiver();
+        }
     }
 
     // ----------------------------------------------------- delivery errors
@@ -514,6 +510,8 @@ impl Engine {
                 self.adapter.flows_report(),
             ),
         };
+        // A polling waiter on this node watches what was just unwound.
+        self.wake_poller();
         if let Some(h) = self.err_hndlr.read().clone() {
             h(&err);
         }
@@ -1730,51 +1728,45 @@ impl Engine {
 
     // ----------------------------------------------------------- progress
 
-    /// One polling step: process whatever has arrived, or block (real time,
-    /// bounded) for the next packet. Panics past `deadline` — simulated
-    /// deadlock.
-    // liveness: recv_timeout wakes on every packet the switch delivers to
-    // this node's adapter ring; on silence the POLL_TICK real-time bound
-    // re-arms the wait until `deadline`, then deadlock_report fires — a
-    // dead or non-polling peer cannot park this thread forever.
-    fn poll_step(&self, deadline: Instant) {
-        self.adapter.pump(self.clock().now());
-        match self.adapter.rx().recv_timeout(POLL_TICK) {
-            Ok(Some(s)) => self.process_packet(s),
-            Ok(None) => {
-                if Instant::now() > deadline {
-                    panic!(
-                        "{}",
-                        self.deadlock_report(&format!(
-                            "polling-mode LAPI made no progress for {:?} of real time — \
-                             simulated deadlock (is the peer polling?)",
-                            self.escape
-                        ))
-                    );
-                }
+    /// Drive this node's progress until `done` yields a value: the one
+    /// polling-mode wait behind `Waitcntr`, fences, rmw replies and
+    /// `Gfence`. Panics with a diagnostic if `done` stays `None` for the
+    /// escape.
+    pub(crate) fn poll_until<R>(&self, mut done: impl FnMut() -> Option<R>) -> R {
+        let deadline = Instant::now() + self.escape;
+        // liveness: poll_step processes every arriving packet, which is
+        // what changes the state `done` reads; a change made on another
+        // thread (completion loop, peer-death unwinding, barrier release)
+        // ends the ring park through wake_receiver; past the deadline
+        // poll_step panics with a diagnostic.
+        loop {
+            if let Some(r) = done() {
+                return r;
             }
-            Err(_) => spsim::sim_panic!("adapter receive queue closed while waiting for progress"),
+            self.poll_step(deadline);
         }
     }
 
-    /// Process everything already arrived without charging any polling
-    /// cost when the queue is empty — the progress hook a parked barrier
-    /// wait runs (`LAPI_Gfence` in polling mode). Unlike [`Self::probe`]
-    /// it never advances the clock on an empty queue, so virtual time
-    /// stays decoupled from how long the barrier waits in real time.
-    pub(crate) fn drain_arrived(&self) {
-        // Lock-free emptiness hint: this runs on every real-time tick of a
-        // parked barrier wait, so don't touch the queue locks when idle.
-        if self.adapter.rx().is_empty() {
-            return;
-        }
-        let mut n = 0;
-        while let Ok(Some(s)) = self.adapter.rx().try_recv() {
-            self.process_packet(s);
-            n += 1;
-        }
-        if n > 0 {
-            self.adapter.pump(self.clock().now());
+    /// One polling step: process the next packet, parking on the receive
+    /// ring until one arrives or a waker fires. Panics past `deadline` —
+    /// simulated deadlock.
+    // liveness: the ring park ends on every packet the switch delivers to
+    // this node, on wake_receiver (wake_poller, barrier wakers, set_mode)
+    // and on close (terminate, crash-stop); `deadline` bounds it.
+    fn poll_step(&self, deadline: Instant) {
+        self.adapter.pump(self.clock().now());
+        match self.adapter.rx().recv_until(Some(deadline)) {
+            Ok(Some(s)) => self.process_packet(s),
+            Ok(None) if Instant::now() >= deadline => panic!(
+                "{}",
+                self.deadlock_report(&format!(
+                    "polling-mode LAPI made no progress for {:?} of real time — \
+                     simulated deadlock (is the peer polling?)",
+                    self.escape
+                ))
+            ),
+            Ok(None) => {}
+            Err(_) => spsim::sim_panic!("adapter receive queue closed while waiting for progress"),
         }
     }
 
@@ -1805,19 +1797,9 @@ impl Engine {
             Mode::Interrupt => {
                 c.wait_consume(self.clock(), val, self.escape, self.adapter.tracer())
             }
-            Mode::Polling => {
-                let deadline = Instant::now() + self.escape;
-                // liveness: poll_step drives the dispatcher inline, so
-                // this thread produces the counter updates it waits for
-                // (peer-death unwinding credits them too); it panics with
-                // a diagnostic past the real-time deadline.
-                loop {
-                    if c.try_consume(self.clock(), val) {
-                        return;
-                    }
-                    self.poll_step(deadline);
-                }
-            }
+            // This thread produces the counter updates it waits for, and
+            // the completion loop and peer-death unwinding wake it.
+            Mode::Polling => self.poll_until(|| c.try_consume(self.clock(), val).then_some(())),
         }
     }
 
@@ -1860,20 +1842,13 @@ impl Engine {
                 }
             }
             Mode::Polling => {
-                let deadline = Instant::now() + self.escape;
-                // liveness: poll_step drives packet processing (which
-                // decrements outstanding) and panics with a diagnostic
-                // past the real-time deadline; declare_peer_dead zeroes
-                // the slot, observed on the next iteration.
-                loop {
-                    if self.is_peer_dead(target) {
-                        return Err(self.peer_dead_error(target));
-                    }
-                    if self.outstanding.lock()[target] == 0 {
-                        self.tr(trace::EventKind::FenceEnd, "fence", target as u64, 0);
-                        return Ok(());
-                    }
-                    self.poll_step(deadline);
+                // Packets decrement the slot; declare_peer_dead zeroes it.
+                let dead = self.poll_until(|| {
+                    let dead = self.is_peer_dead(target);
+                    (dead || self.outstanding.lock()[target] == 0).then_some(dead)
+                });
+                if dead {
+                    return Err(self.peer_dead_error(target));
                 }
             }
         }
@@ -1908,25 +1883,27 @@ impl Engine {
         }
     }
 
-    /// Interrupt-mode dispatcher loop (runs on its own thread).
+    /// Interrupt-mode dispatcher loop (runs on its own thread). Idle is
+    /// legal here, so every park is untimed.
     pub(crate) fn dispatcher_loop(&self) {
-        // liveness: recv_timeout wakes on every arriving packet and every
-        // DISPATCH_TICK; mode_cv is notified on mode flips; terminate()
-        // closes the rx queue, observed by the re-checks below.
+        // liveness: set_mode and terminate notify mode_cv (terminate under
+        // the mode lock this loop checks it in); the ring park ends on
+        // every arriving packet, on set_mode's wake_receiver and on the
+        // close in terminate.
         loop {
-            if self.is_terminated() {
-                return;
-            }
-            // Park (cheaply, in real time) while the node is in polling
-            // mode: progress is then the application's job.
+            // Park while the node is in polling mode: progress is then the
+            // application's job.
             {
                 let mut mode = self.mode.lock();
+                if self.is_terminated() {
+                    return;
+                }
                 if *mode == Mode::Polling {
-                    self.mode_cv.wait_for(&mut mode, DISPATCH_TICK);
+                    SimCondvar::wait(&self.mode_cv, &mut mode);
                     continue;
                 }
             }
-            match self.adapter.rx().recv_timeout(DISPATCH_TICK) {
+            match self.adapter.rx().recv_until(None) {
                 Err(_) => return, // queue closed: job over
                 Ok(None) => continue,
                 Ok(Some(s)) => {
@@ -1949,6 +1926,8 @@ impl Engine {
                         self.process_packet(next);
                     }
                     self.adapter.pump(self.clock().now());
+                    // The mode may have flipped to polling mid-batch.
+                    self.wake_poller();
                 }
             }
         }
@@ -1956,19 +1935,14 @@ impl Engine {
 
     /// Completion-handler thread loop. Idle waiting is normal here (work
     /// only arrives when messages with completion handlers land), so the
-    /// loop polls with a timeout instead of using the deadlock escape.
+    /// park is untimed.
     pub(crate) fn completion_loop(&self) {
-        // liveness: recv_timeout wakes on every queued completion and
-        // every DISPATCH_TICK; terminate() closes cmpl_q, which surfaces
-        // as Err and ends the loop.
+        // liveness: finish_am's cmpl_q pushes end the park, and terminate()
+        // closes cmpl_q, which surfaces as Err and ends the loop.
         loop {
-            match self.cmpl_q.recv_timeout(DISPATCH_TICK) {
+            match self.cmpl_q.recv_until(None) {
                 Err(_) => return,
-                Ok(None) => {
-                    if self.is_terminated() {
-                        return;
-                    }
-                }
+                Ok(None) => continue,
                 Ok(Some(Stamped { at, item: work })) => {
                     // A crashed node runs no more completion handlers
                     // (pending work is not ledger-tracked — just drop it).
@@ -1992,6 +1966,8 @@ impl Engine {
                     if work.cmpl_cntr.is_some() {
                         self.send_done(work.src, false, work.cmpl_cntr);
                     }
+                    // A polling waitcntr on tgt_cntr is parked on the ring.
+                    self.wake_poller();
                 }
             }
         }
@@ -1999,10 +1975,15 @@ impl Engine {
 
     /// Terminate: close queues so the service threads exit.
     pub(crate) fn terminate(&self) {
-        self.terminated.store(true, Ordering::Release);
+        {
+            // Under the mode lock, which the dispatcher checks the flag
+            // under, so the mode_cv notify below cannot slip in between.
+            let _mode = self.mode.lock();
+            self.terminated.store(true, Ordering::Release);
+        }
+        self.mode_cv.notify_all();
         self.adapter.shutdown();
         self.cmpl_q.close();
-        self.mode_cv.notify_all();
     }
 
     /// Write one received-but-never-processed packet off the trace ledger.

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use spsim::{MachineConfig, NodeId, VBarrier, VClock, VDur};
+use spsim::{MachineConfig, NodeId, VBarrier, VClock, VDur, DEFAULT_ESCAPE};
 use spswitch::Network;
 
 use crate::context::{LapiContext, Mode};
@@ -23,10 +23,10 @@ pub(crate) struct Exchange {
 }
 
 impl Exchange {
-    fn new(n: usize, cost: VDur) -> Self {
+    fn new(n: usize, cost: VDur, escape: Duration) -> Self {
         Exchange {
             slots: Mutex::new(vec![0; n]),
-            barrier: VBarrier::new(n, cost),
+            barrier: VBarrier::new(n, cost, escape),
         }
     }
 
@@ -60,7 +60,7 @@ impl LapiWorld {
 
     /// As [`LapiWorld::init`] with an explicit route/drop seed.
     pub fn init_seeded(n: usize, cfg: MachineConfig, mode: Mode, seed: u64) -> Vec<LapiContext> {
-        Self::init_full(n, cfg, mode, seed, Duration::from_secs(30))
+        Self::init_full(n, cfg, mode, seed, DEFAULT_ESCAPE)
     }
 
     /// Full-control init: `escape` bounds real blocking time before a
@@ -93,8 +93,8 @@ impl LapiWorld {
         let cfg = Arc::new(cfg);
         let net: Network<LapiBody> = Network::new(n, Arc::clone(&cfg), seed);
         let bcost = barrier_cost(&cfg, n);
-        let barrier = VBarrier::new(n, bcost);
-        let exchange = Arc::new(Exchange::new(n, bcost));
+        let barrier = VBarrier::new(n, bcost, escape);
+        let exchange = Arc::new(Exchange::new(n, bcost, escape));
         net.into_adapters()
             .into_iter()
             .map(|ad| {
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn exchange_returns_everyones_value() {
-        let ex = Exchange::new(4, VDur::from_us(1));
+        let ex = Exchange::new(4, VDur::from_us(1), DEFAULT_ESCAPE);
         let clocks: Vec<VClock> = (0..4).map(|_| VClock::new()).collect();
         let results: Vec<Vec<u64>> = std::thread::scope(|s| {
             let handles: Vec<_> = clocks

@@ -635,3 +635,65 @@ fn pipelined_puts_overlap_on_the_wire() {
         "pipelined {pipelined} vs serialized {serialized}"
     );
 }
+
+/// A polling world whose deadlock escape is 3 s, so a wakeup lost by
+/// the tests below fails them quickly instead of after 30 s.
+fn polling_world_3s() -> Vec<LapiContext> {
+    LapiWorld::init_full(
+        2,
+        MachineConfig::default(),
+        Mode::Polling,
+        1,
+        Duration::from_secs(3),
+    )
+}
+
+#[test]
+fn polling_waitcntr_wakes_on_completion_handler_bumps() {
+    // The completion thread runs the handler, bumps tgt_cntr and sends
+    // the cmpl_cntr ack. The polling target sits parked on its receive
+    // ring meanwhile, and only the completion thread's wakeup ends its
+    // waitcntr: no packet will arrive to do it.
+    run_spmd_with(polling_world_3s(), |rank, ctx| {
+        let tgt = ctx.new_counter();
+        let remotes = ctx.counter_init(&tgt);
+        if rank == 1 {
+            ctx.register_handler(3, |hctx, info| {
+                let buf = hctx.alloc(info.data_len);
+                HdrOutcome::into_buffer(buf).with_completion(Box::new(|_c| {}))
+            });
+        }
+        ctx.gfence().unwrap();
+        let cmpl = ctx.new_counter();
+        for _ in 0..50 {
+            if rank == 0 {
+                ctx.amsend(1, 3, b"", &[1u8; 64], Some(remotes[1]), None, Some(&cmpl))
+                    .unwrap();
+                ctx.waitcntr(&cmpl, 1);
+            } else {
+                ctx.waitcntr(&tgt, 1);
+            }
+        }
+        ctx.gfence().unwrap();
+    });
+}
+
+#[test]
+fn polling_gfence_serves_peers_until_the_barrier_releases() {
+    // Node 0 heads straight into Gfence while node 1 still needs node 0 to
+    // serve an rmw and a get; in polling mode only node 0's own Gfence
+    // wait can serve them, and the release must still wake it.
+    run_spmd_with(polling_world_3s(), |rank, ctx| {
+        let cell = ctx.alloc(8);
+        let addrs = ctx.address_init(cell);
+        for round in 0..20u64 {
+            if rank == 1 {
+                let prev = ctx.rmw(0, RmwOp::FetchAndAdd, addrs[0], 1, 0).unwrap();
+                assert_eq!(prev.wait(), round);
+                let got = ctx.get_wait(0, addrs[0], 8).unwrap();
+                assert_eq!(got, (round + 1).to_le_bytes());
+            }
+            ctx.gfence().unwrap();
+        }
+    });
+}

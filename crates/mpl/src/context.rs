@@ -2,7 +2,6 @@
 
 use spsim::ServiceHandle;
 use std::sync::Arc;
-use std::time::Instant;
 
 use spsim::{trace, NodeId, VClock, VDur, VTime};
 
@@ -48,15 +47,9 @@ impl SendReq {
     pub fn wait(&self) {
         match self.engine.mode() {
             MplMode::Interrupt => self.state.wait_done(&self.engine),
-            MplMode::Polling => {
-                let deadline = Instant::now() + self.engine.escape;
-                loop {
-                    if self.state.merge_if_done(self.engine.clock()) {
-                        return;
-                    }
-                    self.engine.poll_step(deadline);
-                }
-            }
+            MplMode::Polling => self
+                .engine
+                .poll_until(|| self.state.merge_if_done(self.engine.clock()).then_some(())),
         }
     }
 }
@@ -77,15 +70,9 @@ impl RecvReq {
     pub fn wait(&self) -> (Vec<u8>, Status) {
         match self.engine.mode() {
             MplMode::Interrupt => self.state.wait_done(&self.engine),
-            MplMode::Polling => {
-                let deadline = Instant::now() + self.engine.escape;
-                loop {
-                    if let Some(r) = self.state.take_if_done(self.engine.clock()) {
-                        return r;
-                    }
-                    self.engine.poll_step(deadline);
-                }
-            }
+            MplMode::Polling => self
+                .engine
+                .poll_until(|| self.state.take_if_done(self.engine.clock())),
         }
     }
 }

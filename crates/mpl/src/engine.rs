@@ -19,11 +19,6 @@ use spswitch::{Adapter, SendReceipt, WirePacket};
 use crate::context::{MplHandlerCtx, MplMode, Status};
 use crate::wire::{MplBody, Seq, Tag};
 
-/// How long polling waits spin on real time per step.
-const POLL_TICK: Duration = Duration::from_millis(2);
-/// How often the parked dispatcher re-checks mode/termination.
-const DISPATCH_TICK: Duration = Duration::from_millis(10);
-
 /// Protocol statistics.
 #[derive(Clone, Debug, Default)]
 pub struct MplStats {
@@ -304,6 +299,8 @@ impl MplEngine {
     pub(crate) fn set_mode(&self, m: MplMode) {
         *self.mode.lock() = m;
         self.mode_cv.notify_all();
+        // A dispatcher parked on the ring must leave it for mode_cv.
+        self.adapter.rx().wake_receiver();
     }
 
     pub(crate) fn is_terminated(&self) -> bool {
@@ -829,47 +826,63 @@ impl MplEngine {
         }
     }
 
-    /// One polling step (bounded real-time block).
-    // liveness: recv_timeout wakes on every packet the switch delivers to
-    // this node's adapter ring; on silence the POLL_TICK real-time bound
-    // re-arms the wait until `deadline`, then deadlock_report fires — a
-    // dead or non-polling peer cannot park this thread forever.
-    pub(crate) fn poll_step(&self, deadline: Instant) {
-        self.adapter.pump(self.clock().now());
-        match self.adapter.rx().recv_timeout(POLL_TICK) {
-            Ok(Some(s)) => self.process_packet(s),
-            Ok(None) => {
-                if Instant::now() > deadline {
-                    panic!(
-                        "{}",
-                        self.deadlock_report(&format!(
-                            "MPL made no progress for {:?} of real time — simulated deadlock",
-                            self.escape
-                        ))
-                    );
-                }
+    /// Drive this node's progress until `done` yields a value: the one
+    /// polling-mode wait behind blocking sends and receives. Panics with a
+    /// diagnostic if `done` stays `None` for the escape.
+    pub(crate) fn poll_until<R>(&self, mut done: impl FnMut() -> Option<R>) -> R {
+        let deadline = Instant::now() + self.escape;
+        // liveness: poll_step processes every arriving packet, which is
+        // what completes the sends and receives `done` reads (a dispatcher
+        // that raced a flip to polling wakes the ring park after its
+        // batch); past the deadline poll_step panics with a diagnostic.
+        loop {
+            if let Some(r) = done() {
+                return r;
             }
+            self.poll_step(deadline);
+        }
+    }
+
+    /// One polling step: process the next packet, parking on the receive
+    /// ring until one arrives or a waker fires. Panics past `deadline`.
+    // liveness: the ring park ends on every packet the switch delivers to
+    // this node, on wake_receiver (set_mode, the dispatcher) and on close
+    // (terminate); `deadline` bounds it.
+    fn poll_step(&self, deadline: Instant) {
+        self.adapter.pump(self.clock().now());
+        match self.adapter.rx().recv_until(Some(deadline)) {
+            Ok(Some(s)) => self.process_packet(s),
+            Ok(None) if Instant::now() >= deadline => panic!(
+                "{}",
+                self.deadlock_report(&format!(
+                    "MPL made no progress for {:?} of real time — simulated deadlock",
+                    self.escape
+                ))
+            ),
+            Ok(None) => {}
             Err(_) => spsim::sim_panic!("MPL adapter queue closed while waiting for progress"),
         }
     }
 
-    /// Interrupt-mode dispatcher loop.
+    /// Interrupt-mode dispatcher loop. Idle is legal here, so every park
+    /// is untimed.
     pub(crate) fn dispatcher_loop(&self) {
-        // liveness: recv_timeout wakes on every arriving packet and every
-        // DISPATCH_TICK; mode_cv is notified on mode flips; terminate()
-        // closes the rx queue, observed by the re-checks below.
+        // liveness: set_mode and terminate notify mode_cv (terminate under
+        // the mode lock this loop checks it in); the ring park ends on
+        // every arriving packet, on set_mode's wake_receiver and on the
+        // close in terminate.
         loop {
-            if self.is_terminated() {
-                return;
-            }
             {
                 let mut mode = self.mode.lock();
+                if self.is_terminated() {
+                    return;
+                }
                 if *mode == MplMode::Polling {
-                    self.mode_cv.wait_for(&mut mode, DISPATCH_TICK);
+                    SimCondvar::wait(&self.mode_cv, &mut mode);
                     continue;
                 }
             }
-            match self.adapter.rx().recv_timeout(DISPATCH_TICK) {
+            match self.adapter.rx().recv_until(None) {
                 Err(_) => return,
                 Ok(None) => continue,
                 Ok(Some(s)) => {
@@ -879,14 +892,24 @@ impl MplEngine {
                         self.process_packet(next);
                     }
                     self.adapter.pump(self.clock().now());
+                    // A flip to polling mid-batch leaves the application
+                    // parked on the ring, waiting on what this batch did.
+                    if self.mode() == MplMode::Polling {
+                        self.adapter.rx().wake_receiver();
+                    }
                 }
             }
         }
     }
 
     pub(crate) fn terminate(&self) {
-        self.terminated.store(true, Ordering::Release);
-        self.adapter.shutdown();
+        {
+            // Under the mode lock, which the dispatcher checks the flag
+            // under, so the mode_cv notify below cannot slip in between.
+            let _mode = self.mode.lock();
+            self.terminated.store(true, Ordering::Release);
+        }
         self.mode_cv.notify_all();
+        self.adapter.shutdown();
     }
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use spsim::{MachineConfig, NodeId, VBarrier, VClock, VDur};
+use spsim::{MachineConfig, NodeId, VBarrier, VClock, VDur, DEFAULT_ESCAPE};
 use spswitch::Network;
 
 use crate::context::{MplContext, MplMode};
@@ -18,10 +18,10 @@ pub(crate) struct MplExchange {
 }
 
 impl MplExchange {
-    fn new(n: usize, cost: VDur) -> Self {
+    fn new(n: usize, cost: VDur, escape: Duration) -> Self {
         MplExchange {
             slots: Mutex::new(vec![0; n]),
-            barrier: VBarrier::new(n, cost),
+            barrier: VBarrier::new(n, cost, escape),
         }
     }
 
@@ -50,7 +50,7 @@ impl MplWorld {
 
     /// As [`MplWorld::init`] with an explicit route/drop seed.
     pub fn init_seeded(n: usize, cfg: MachineConfig, mode: MplMode, seed: u64) -> Vec<MplContext> {
-        Self::init_full(n, cfg, mode, seed, Duration::from_secs(30))
+        Self::init_full(n, cfg, mode, seed, DEFAULT_ESCAPE)
     }
 
     /// Full-control init (short `escape` for deadlock tests).
@@ -64,8 +64,8 @@ impl MplWorld {
         let cfg = Arc::new(cfg);
         let net: Network<MplBody> = Network::new(n, Arc::clone(&cfg), seed);
         let bcost = barrier_cost(&cfg, n);
-        let barrier = VBarrier::new(n, bcost);
-        let exchange = Arc::new(MplExchange::new(n, bcost));
+        let barrier = VBarrier::new(n, bcost, escape);
+        let exchange = Arc::new(MplExchange::new(n, bcost, escape));
         net.into_adapters()
             .into_iter()
             .map(|ad| {

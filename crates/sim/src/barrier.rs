@@ -7,6 +7,7 @@
 //! wall-clock alignment on the SP, and makes measurements deterministic.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -14,16 +15,25 @@ use crate::clock::VClock;
 use crate::sched::SimCondvar;
 use crate::time::{VDur, VTime};
 
+/// Run by the arrival that releases a generation, once per participant
+/// that registered it: the way a participant parked somewhere other than
+/// the barrier's condvar (a polling node, parked on its receive ring)
+/// learns of the release.
+pub type BarrierWaker = Box<dyn FnOnce() + Send>;
+
 struct State {
     arrived: usize,
     generation: u64,
     max_time: VTime,
     release_time: VTime,
+    /// Wakers registered by this generation's arrivals so far.
+    wakers: Vec<BarrierWaker>,
 }
 
 struct Inner {
     n: usize,
     cost: VDur,
+    escape: Duration,
     state: Mutex<State>,
     cond: SimCondvar,
 }
@@ -34,19 +44,30 @@ pub struct VBarrier {
     inner: Arc<Inner>,
 }
 
+/// One participant's arrival in one barrier generation; see
+/// [`VBarrier::arrive`].
+#[derive(Debug)]
+pub struct Arrival {
+    generation: u64,
+}
+
 impl VBarrier {
-    /// A barrier for `n` participants charging `cost` per crossing.
-    pub fn new(n: usize, cost: VDur) -> Self {
+    /// A barrier for `n` participants charging `cost` per crossing. A
+    /// blocking [`VBarrier::wait`] that sees no release within `escape` of
+    /// real time panics: a peer died or deadlocked.
+    pub fn new(n: usize, cost: VDur, escape: Duration) -> Self {
         assert!(n > 0, "barrier needs at least one participant");
         VBarrier {
             inner: Arc::new(Inner {
                 n,
                 cost,
+                escape,
                 state: Mutex::new(State {
                     arrived: 0,
                     generation: 0,
                     max_time: VTime::ZERO,
                     release_time: VTime::ZERO,
+                    wakers: Vec::new(),
                 }),
                 cond: SimCondvar::new(),
             }),
@@ -61,31 +82,16 @@ impl VBarrier {
     /// Enter the barrier; returns the aligned virtual time (which `clock`
     /// has been set to).
     ///
-    /// Panics if the other participants fail to arrive within a generous
-    /// real-time bound — that means a peer died or deadlocked, and hanging
-    /// the whole job would mask the failure.
+    /// Panics if the other participants fail to arrive within the escape —
+    /// that means a peer died or deadlocked, and hanging the whole job
+    /// would mask the failure.
     pub fn wait(&self, clock: &VClock) -> VTime {
-        self.wait_with_progress(clock, || {})
-    }
-
-    /// Enter the barrier, invoking `progress` periodically (with the barrier
-    /// lock released) while waiting for stragglers.
-    ///
-    /// This exists for protocols where a parked participant must still
-    /// service incoming requests: polling-mode LAPI makes no progress unless
-    /// the target polls, so a node that reaches `LAPI_Gfence` first has to
-    /// keep draining its receive queue — a peer may be blocked on a request
-    /// (e.g. an rmw) that it sent *before* heading to its own fence, and
-    /// that request is only served here. `progress` must be non-blocking
-    /// and must not advance the virtual clock when there is no work, or the
-    /// wait would couple virtual time to real time.
-    pub fn wait_with_progress(&self, clock: &VClock, progress: impl FnMut()) -> VTime {
-        self.wait_among(clock, self.inner.n, progress)
+        self.wait_among(clock, self.inner.n)
     }
 
     /// Enter the barrier expecting only `expected` of the `n` configured
-    /// participants to show up this generation, invoking `progress`
-    /// periodically like [`VBarrier::wait_with_progress`].
+    /// participants to show up this generation, and block like
+    /// [`VBarrier::wait`].
     ///
     /// This is the survivor-set barrier behind `gfence_surviving`: after a
     /// node crash, the live members synchronize among themselves without
@@ -94,45 +100,19 @@ impl VBarrier {
     /// consistent across a release (mixing counts in one generation would
     /// release early or strand arrivals — the fault plan is the shared
     /// membership ground truth that guarantees agreement).
-    pub fn wait_among(&self, clock: &VClock, expected: usize, mut progress: impl FnMut()) -> VTime {
-        assert!(
-            expected >= 1 && expected <= self.inner.n,
-            "survivor set of {expected} outside 1..={}",
-            self.inner.n
-        );
-        let mut st = self.inner.state.lock();
-        let my_gen = st.generation;
-        st.max_time = st.max_time.max(clock.now());
-        st.arrived += 1;
-        if st.arrived == expected {
-            st.release_time = st.max_time + self.inner.cost;
-            st.arrived = 0;
-            st.max_time = VTime::ZERO;
-            st.generation += 1;
-            let release = st.release_time;
-            drop(st);
-            self.inner.cond.notify_all();
-            clock.merge(release);
-            return release;
-        }
-        // Wait in short real-time slices so `progress` keeps running; a
-        // peer that dies or deadlocks trips the escape after ~60s.
-        const TICK: std::time::Duration = std::time::Duration::from_millis(5);
-        const MAX_TICKS: u32 = 12_000;
-        let mut ticks: u32 = 0;
-        while st.generation == my_gen {
-            if self.inner.cond.wait_for(&mut st, TICK).timed_out() {
-                ticks += 1;
-                if ticks > MAX_TICKS {
-                    panic!(
-                        "VBarrier: only {}/{} expected participants arrived within 60s \
-                         of real time — a peer died or deadlocked",
-                        st.arrived, expected
-                    );
-                }
-                drop(st);
-                progress();
-                st = self.inner.state.lock();
+    pub fn wait_among(&self, clock: &VClock, expected: usize) -> VTime {
+        let inner = &*self.inner;
+        let me = self.arrive(clock, expected, None);
+        let mut st = inner.state.lock();
+        // liveness: the arrival that releases the generation notifies
+        // `cond`, and nothing else does; past the escape this panics.
+        while st.generation == me.generation {
+            if inner.cond.wait_for(&mut st, inner.escape).timed_out() {
+                panic!(
+                    "VBarrier: only {}/{} expected participants arrived within {:?} \
+                     of real time — a peer died or deadlocked",
+                    st.arrived, expected, inner.escape
+                );
             }
         }
         let release = st.release_time;
@@ -140,16 +120,65 @@ impl VBarrier {
         clock.merge(release);
         release
     }
+
+    /// Count the caller in this generation at its `clock`'s time, without
+    /// blocking; `expected` is as in [`VBarrier::wait_among`]. A caller
+    /// that must keep working until the release (polling-mode LAPI has to
+    /// serve its peers' requests) passes a `waker` and then polls
+    /// [`VBarrier::released`]; the arrival that releases the generation
+    /// runs every registered waker.
+    pub fn arrive(&self, clock: &VClock, expected: usize, waker: Option<BarrierWaker>) -> Arrival {
+        assert!(
+            expected >= 1 && expected <= self.inner.n,
+            "survivor set of {expected} outside 1..={}",
+            self.inner.n
+        );
+        let mut st = self.inner.state.lock();
+        let me = Arrival {
+            generation: st.generation,
+        };
+        st.max_time = st.max_time.max(clock.now());
+        st.arrived += 1;
+        if st.arrived < expected {
+            st.wakers.extend(waker);
+            return me;
+        }
+        st.release_time = st.max_time + self.inner.cost;
+        st.arrived = 0;
+        st.max_time = VTime::ZERO;
+        st.generation += 1;
+        let wakers = std::mem::take(&mut st.wakers);
+        drop(st);
+        self.inner.cond.notify_all();
+        for w in wakers {
+            w();
+        }
+        me
+    }
+
+    /// The aligned release time, merged into `clock`, once `me`'s
+    /// generation has released; `None` before.
+    pub fn released(&self, me: &Arrival, clock: &VClock) -> Option<VTime> {
+        let st = self.inner.state.lock();
+        if st.generation == me.generation {
+            return None;
+        }
+        let release = st.release_time;
+        drop(st);
+        clock.merge(release);
+        Some(release)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::DEFAULT_ESCAPE as ESCAPE;
     use std::thread;
 
     #[test]
     fn aligns_clocks_to_max_plus_cost() {
-        let b = VBarrier::new(3, VDur::from_us(2));
+        let b = VBarrier::new(3, VDur::from_us(2), ESCAPE);
         let clocks: Vec<VClock> = (0..3)
             .map(|i| VClock::starting_at(VTime::from_us(10 * i as u64)))
             .collect();
@@ -166,7 +195,7 @@ mod tests {
 
     #[test]
     fn is_reusable_across_generations() {
-        let b = VBarrier::new(2, VDur::ZERO);
+        let b = VBarrier::new(2, VDur::ZERO, ESCAPE);
         let c0 = VClock::new();
         let c1 = VClock::new();
         for round in 1..=5u64 {
@@ -189,7 +218,7 @@ mod tests {
 
     #[test]
     fn single_participant_is_trivial() {
-        let b = VBarrier::new(1, VDur::from_us(1));
+        let b = VBarrier::new(1, VDur::from_us(1), ESCAPE);
         let c = VClock::starting_at(VTime::from_us(9));
         assert_eq!(b.wait(&c), VTime::from_us(10));
     }
@@ -197,21 +226,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_participants_rejected() {
-        let _ = VBarrier::new(0, VDur::ZERO);
+        let _ = VBarrier::new(0, VDur::ZERO, ESCAPE);
     }
 
     #[test]
     fn survivor_set_releases_without_the_dead() {
         // A 4-way barrier where only 3 participants remain alive: wait_among
         // releases at 3 arrivals and still aligns clocks to max + cost.
-        let b = VBarrier::new(4, VDur::from_us(2));
+        let b = VBarrier::new(4, VDur::from_us(2), ESCAPE);
         let clocks: Vec<VClock> = (0..3)
             .map(|i| VClock::starting_at(VTime::from_us(10 * i as u64)))
             .collect();
         thread::scope(|s| {
             for c in &clocks {
                 let b = b.clone();
-                s.spawn(move || b.wait_among(c, 3, || {}));
+                s.spawn(move || b.wait_among(c, 3));
             }
         });
         for c in &clocks {
@@ -220,14 +249,37 @@ mod tests {
         // The barrier is reusable afterwards at full strength semantics
         // (generation advanced exactly once).
         let c = VClock::starting_at(VTime::from_us(100));
-        assert_eq!(b.wait_among(&c, 1, || {}), VTime::from_us(102));
+        assert_eq!(b.wait_among(&c, 1), VTime::from_us(102));
+    }
+
+    #[test]
+    fn arrival_polls_until_the_release_runs_its_waker() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let b = VBarrier::new(2, VDur::from_us(1), ESCAPE);
+        let (c0, c1) = (VClock::starting_at(VTime::from_us(5)), VClock::new());
+        let woke = Arc::new(AtomicBool::new(false));
+        let w = Arc::clone(&woke);
+        let me = b.arrive(
+            &c0,
+            2,
+            Some(Box::new(move || w.store(true, Ordering::SeqCst))),
+        );
+        assert_eq!(b.released(&me, &c0), None);
+        assert!(!woke.load(Ordering::SeqCst));
+        assert_eq!(b.wait(&c1), VTime::from_us(6));
+        assert!(
+            woke.load(Ordering::SeqCst),
+            "the releasing arrival ran the waker"
+        );
+        assert_eq!(b.released(&me, &c0), Some(VTime::from_us(6)));
+        assert_eq!(c0.now(), VTime::from_us(6));
     }
 
     #[test]
     #[should_panic(expected = "outside")]
     fn oversized_survivor_set_rejected() {
-        let b = VBarrier::new(2, VDur::ZERO);
+        let b = VBarrier::new(2, VDur::ZERO, ESCAPE);
         let c = VClock::new();
-        b.wait_among(&c, 3, || {});
+        b.wait_among(&c, 3);
     }
 }

@@ -59,7 +59,7 @@ pub use config::{DeliveryPath, MachineConfig};
 pub use diag::OrDiag;
 pub use fault::{FaultPlan, FaultProfile, FaultWindow, LinkFaults, NodeFault};
 pub use mutation::Mutant;
-pub use queue::{QueueClosed, Stamped, TimedQueue};
+pub use queue::{QueueClosed, Stamped, TimedQueue, DEFAULT_ESCAPE};
 pub use rng::SimRng;
 pub use runtime::{
     run_spmd, run_spmd_with, schedule_tiebreak, set_schedule_tiebreak, spawn_service, NodeId,

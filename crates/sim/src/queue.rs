@@ -17,12 +17,11 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use crate::clock::VClock;
-use crate::diag::OrDiag;
 use crate::sched::SimCondvar;
 use crate::time::VTime;
 use crate::trace::Tracer;
@@ -91,6 +90,9 @@ struct HeapState<T> {
     /// lock, so a pusher sees an exact count: zero waiters means the
     /// notification can be skipped entirely (the common streaming case).
     waiters: usize,
+    /// Set by [`TimedQueue::wake_receiver`]; the next receive that would
+    /// park takes it and returns empty-handed instead.
+    woken: bool,
 }
 
 /// A blocking min-heap queue ordered by virtual timestamp.
@@ -133,6 +135,7 @@ impl<T> TimedQueue<T> {
                     next_seq: 0,
                     closed: false,
                     waiters: 0,
+                    woken: false,
                 }),
                 cond: SimCondvar::new(),
                 depth: AtomicUsize::new(0),
@@ -230,29 +233,6 @@ impl<T> TimedQueue<T> {
         }
     }
 
-    /// Nonblocking poll at virtual time `now`: take the earliest element
-    /// only if its timestamp is `<= now` — i.e. only events that have
-    /// already happened from the poller's perspective.
-    pub fn try_recv_ready(&self, now: VTime) -> Result<Option<Stamped<T>>, QueueClosed> {
-        let mut st = self.inner.heap.lock();
-        if let Some(top) = st.heap.peek() {
-            if top.at <= now {
-                let e = st.heap.pop().or_diag("heap emptied between peek and pop");
-                self.note_pop();
-                return Ok(Some(Stamped {
-                    at: e.at,
-                    item: e.item,
-                }));
-            }
-            return Ok(None);
-        }
-        if st.closed {
-            Err(QueueClosed)
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Blocking: wait for the earliest element, merging its timestamp into
     /// `clock`. This models "spin/park until the event arrives" — the
     /// waiter's virtual clock jumps to the event time rather than burning
@@ -260,34 +240,24 @@ impl<T> TimedQueue<T> {
     ///
     /// Panics if the real-time escape elapses (simulated deadlock).
     pub fn recv_merge(&self, clock: &VClock) -> Result<Stamped<T>, QueueClosed> {
-        let mut st = self.inner.heap.lock();
-        // liveness: every push and close notifies `cond`; wait_for is
-        // bounded by the escape and panics with a diagnostic on timeout.
+        let deadline = Instant::now() + self.escape;
+        // liveness: recv_until returns on every push, close and
+        // wake_receiver; past the escape deadline this panics with a
+        // diagnostic.
         loop {
-            if let Some(e) = st.heap.pop() {
-                self.note_pop();
-                drop(st);
-                clock.merge(e.at);
-                return Ok(Stamped {
-                    at: e.at,
-                    item: e.item,
-                });
+            if let Some(s) = self.recv_until(Some(deadline))? {
+                clock.merge(s.at);
+                return Ok(s);
             }
-            if st.closed {
-                return Err(QueueClosed);
-            }
-            st.waiters += 1;
-            let timed_out = self.inner.cond.wait_for(&mut st, self.escape).timed_out();
-            st.waiters -= 1;
-            if timed_out {
+            if Instant::now() >= deadline {
                 panic!(
                     "TimedQueue::recv_merge: no event within {:?} of real time — \
                      the simulated program is deadlocked (is anyone making progress? \
                      polling-mode LAPI requires the target to poll)\n\
                      queue: len={} closed={} waiter-clock={}ns\n{}",
                     self.escape,
-                    st.heap.len(),
-                    st.closed,
+                    self.len(),
+                    self.is_closed(),
                     clock.now().as_ns(),
                     self.tracer.tail_report(crate::trace::REPORT_TAIL)
                 );
@@ -295,91 +265,55 @@ impl<T> TimedQueue<T> {
         }
     }
 
-    /// Blocking receive bounded by `dur` of *real* time: `Ok(None)` on
-    /// timeout. Used by service loops that must periodically re-check
-    /// control state (e.g. the LAPI dispatcher watching for mode changes).
-    pub fn recv_timeout(&self, dur: Duration) -> Result<Option<Stamped<T>>, QueueClosed> {
-        let deadline = std::time::Instant::now() + dur;
+    /// Blocking receive that parks at most once: the earliest element, or
+    /// `Ok(None)` when the park ends without one — at `deadline` (never,
+    /// if `None`), after [`Self::wake_receiver`], or because another
+    /// receiver took the element whose push ended it. Callers loop,
+    /// re-checking whatever they wait for.
+    pub fn recv_until(&self, deadline: Option<Instant>) -> Result<Option<Stamped<T>>, QueueClosed> {
         let mut st = self.inner.heap.lock();
-        // liveness: every push and close notifies `cond`; wait_until is
-        // bounded by the caller's deadline, returning Ok(None) on timeout.
-        loop {
-            if let Some(e) = st.heap.pop() {
+        if st.heap.is_empty() && !st.closed && !std::mem::take(&mut st.woken) {
+            st.waiters += 1;
+            // liveness: push, close and wake_receiver notify `cond` while a
+            // receiver is registered; `deadline`, if any, bounds the park.
+            match deadline {
+                Some(d) => {
+                    self.inner.cond.wait_until(&mut st, d);
+                }
+                None => SimCondvar::wait(&self.inner.cond, &mut st),
+            }
+            st.waiters -= 1;
+        }
+        match st.heap.pop() {
+            Some(e) => {
                 self.note_pop();
-                return Ok(Some(Stamped {
+                Ok(Some(Stamped {
                     at: e.at,
                     item: e.item,
-                }));
+                }))
             }
-            if st.closed {
-                return Err(QueueClosed);
-            }
-            st.waiters += 1;
-            let timed_out = self.inner.cond.wait_until(&mut st, deadline).timed_out();
-            st.waiters -= 1;
-            if timed_out {
-                return Ok(None);
-            }
+            None if st.closed => Err(QueueClosed),
+            None => Ok(None),
         }
     }
 
-    /// Blocking receive without a clock (used by service threads that own
-    /// no clock of their own; the timestamp is returned for manual merging).
-    pub fn recv(&self) -> Result<Stamped<T>, QueueClosed> {
+    /// End a parked [`Self::recv_until`] empty-handed, or, if no receiver
+    /// is parked, the next one that would park. The waker of a receiver
+    /// that waits on a state change made by another thread.
+    pub fn wake_receiver(&self) {
         let mut st = self.inner.heap.lock();
-        // liveness: every push and close notifies `cond`; wait_for is
-        // bounded by the escape and panics with a diagnostic on timeout.
-        loop {
-            if let Some(e) = st.heap.pop() {
-                self.note_pop();
-                return Ok(Stamped {
-                    at: e.at,
-                    item: e.item,
-                });
-            }
-            if st.closed {
-                return Err(QueueClosed);
-            }
-            st.waiters += 1;
-            let timed_out = self.inner.cond.wait_for(&mut st, self.escape).timed_out();
-            st.waiters -= 1;
-            if timed_out {
-                panic!(
-                    "TimedQueue::recv: no event within {:?} of real time — \
-                     the simulated program is deadlocked\n\
-                     queue: len={} closed={}\n{}",
-                    self.escape,
-                    st.heap.len(),
-                    st.closed,
-                    self.tracer.tail_report(crate::trace::REPORT_TAIL)
-                );
-            }
+        st.woken = true;
+        let notify = st.waiters > 0;
+        drop(st);
+        if notify {
+            self.inner.cond.notify_all();
         }
-    }
-
-    /// Drain every element whose timestamp is `<= now`, in timestamp order.
-    pub fn drain_ready(&self, now: VTime) -> Vec<Stamped<T>> {
-        let mut out = Vec::new();
-        let mut st = self.inner.heap.lock();
-        while let Some(top) = st.heap.peek() {
-            if top.at > now {
-                break;
-            }
-            let e = st.heap.pop().or_diag("heap emptied between peek and pop");
-            self.note_pop();
-            out.push(Stamped {
-                at: e.at,
-                item: e.item,
-            });
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::VDur;
     use std::thread;
 
     #[test]
@@ -475,19 +409,15 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_ready_respects_now() {
-        let q = TimedQueue::new();
-        q.push(VTime::from_us(50), ());
-        assert!(q.try_recv_ready(VTime::from_us(10)).unwrap().is_none());
-        assert!(q.try_recv_ready(VTime::from_us(50)).unwrap().is_some());
-        assert!(q.try_recv_ready(VTime::from_us(99)).unwrap().is_none());
-    }
-
-    #[test]
     fn close_unblocks_and_reports() {
         let q: TimedQueue<()> = TimedQueue::new();
         let q2 = q.clone();
-        let h = thread::spawn(move || q2.recv());
+        let h = thread::spawn(move || loop {
+            match q2.recv_until(None) {
+                Ok(None) => continue,
+                r => return r.map(|_| ()),
+            }
+        });
         thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), Err(QueueClosed));
@@ -583,20 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_ready_takes_prefix() {
-        let q = TimedQueue::new();
-        for i in 0..5u64 {
-            q.push(VTime::from_us(i * 10), i);
-        }
-        let got = q.drain_ready(VTime::from_us(25));
-        assert_eq!(
-            got.iter().map(|s| s.item).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "deadlocked")]
     fn escape_hatch_panics() {
         let q: TimedQueue<()> = TimedQueue::with_escape(Duration::from_millis(30));
@@ -605,14 +521,27 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_times_out_and_delivers() {
+    fn recv_until_times_out_and_delivers() {
         let q: TimedQueue<u8> = TimedQueue::new();
-        assert_eq!(q.recv_timeout(Duration::from_millis(10)), Ok(None));
+        let soon = || Some(Instant::now() + Duration::from_millis(10));
+        assert_eq!(q.recv_until(soon()), Ok(None));
         q.push(VTime::from_us(4), 9);
-        let got = q.recv_timeout(Duration::from_millis(10)).unwrap().unwrap();
-        assert_eq!(got.item, 9);
+        assert_eq!(q.recv_until(soon()).unwrap().unwrap().item, 9);
         q.close();
-        assert_eq!(q.recv_timeout(Duration::from_millis(10)), Err(QueueClosed));
+        assert_eq!(q.recv_until(soon()), Err(QueueClosed));
+    }
+
+    #[test]
+    fn wake_receiver_ends_an_untimed_park() {
+        let q: TimedQueue<u8> = TimedQueue::new();
+        // A wake with no receiver parked is kept for the next one.
+        q.wake_receiver();
+        assert_eq!(q.recv_until(None), Ok(None));
+        let q2 = q.clone();
+        let h = thread::spawn(move || q2.recv_until(None));
+        thread::sleep(Duration::from_millis(20));
+        q.wake_receiver();
+        assert_eq!(h.join().unwrap(), Ok(None));
     }
 
     #[test]
@@ -625,22 +554,23 @@ mod tests {
     }
 
     #[test]
-    fn clock_advance_vs_queue_interleaving() {
-        // A consumer that alternates polling and working sees events only
-        // once its virtual time passes their stamps.
+    fn try_recv_takes_the_earliest_enqueued_so_far() {
+        // Order holds among the elements present when the receiver looks:
+        // an earlier stamp pushed later still overtakes a later one.
         let q = TimedQueue::new();
-        q.push(VTime::from_us(12), ());
         let clock = VClock::new();
-        let mut polls = 0;
-        loop {
-            match q.try_recv_ready(clock.now()).unwrap() {
-                Some(_) => break,
-                None => {
-                    clock.advance(VDur::from_us(5));
-                    polls += 1;
-                }
-            }
-        }
-        assert_eq!(polls, 3); // at t=5,10 nothing; ready at t=15
+        let poll = || {
+            let s = q.try_recv().unwrap().unwrap();
+            clock.merge(s.at);
+            s.item
+        };
+        q.push(VTime::from_us(12), "b");
+        assert_eq!(poll(), "b");
+        q.push(VTime::from_us(30), "d");
+        q.push(VTime::from_us(5), "a");
+        q.push(VTime::from_us(20), "c");
+        assert_eq!([poll(), poll(), poll()], ["a", "c", "d"]);
+        assert_eq!(clock.now(), VTime::from_us(30));
+        assert_eq!(q.try_recv(), Ok(None));
     }
 }

@@ -133,10 +133,13 @@ struct RingsInner<T> {
     /// here before popping. Also serializes concurrent consumers
     /// (dispatcher thread + application probe).
     staged: Mutex<BinaryHeap<Entry<T>>>,
-    /// Park/wake handshake for blocked consumers (see `recv_merge`).
+    /// Park/wake handshake for blocked consumers (see `park`).
     park: Mutex<()>,
     cond: SimCondvar,
     waiters: AtomicUsize,
+    /// Set by [`DeliveryRings::wake_receiver`]; the next receive that
+    /// would park takes it and returns empty-handed instead.
+    woken: AtomicBool,
 }
 
 // SAFETY: every slot is written by exactly one producer (guarded by the
@@ -220,6 +223,7 @@ impl<T: Send> DeliveryRings<T> {
                 park: Mutex::new(()),
                 cond: SimCondvar::new(),
                 waiters: AtomicUsize::new(0),
+                woken: AtomicBool::new(false),
             }),
             escape,
             tracer: Tracer::default(),
@@ -420,136 +424,86 @@ impl<T: Send> DeliveryRings<T> {
         }
     }
 
-    /// Nonblocking poll at virtual time `now`: take the earliest visible
-    /// element only if its timestamp is `<= now`.
-    pub fn try_recv_ready(&self, now: VTime) -> Result<Option<Stamped<T>>, QueueClosed> {
-        let mut staged = self.inner.staged.lock();
-        self.drain_into(&mut staged);
-        if let Some(top) = staged.peek() {
-            if top.at <= now {
-                return Ok(self.pop_staged(&mut staged));
-            }
-            return Ok(None);
-        }
-        // ordering: SeqCst — see `close`.
-        if self.inner.closed.load(Ordering::SeqCst) {
-            Err(QueueClosed)
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Blocking: wait for the earliest element, merging its timestamp into
     /// `clock`. Panics if the real-time escape elapses (simulated deadlock).
     pub fn recv_merge(&self, clock: &VClock) -> Result<Stamped<T>, QueueClosed> {
-        match self.recv_inner(None) {
-            Ok(Some(s)) => {
-                clock.merge(s.at);
-                Ok(s)
-            }
-            Ok(None) => self.deadlock_panic(Some(clock)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Blocking receive bounded by `dur` of *real* time: `Ok(None)` on
-    /// timeout.
-    pub fn recv_timeout(&self, dur: Duration) -> Result<Option<Stamped<T>>, QueueClosed> {
-        self.recv_inner(Some(dur))
-    }
-
-    /// Blocking receive without a clock; panics on the real-time escape.
-    pub fn recv(&self) -> Result<Stamped<T>, QueueClosed> {
-        match self.recv_inner(None) {
-            Ok(Some(s)) => Ok(s),
-            Ok(None) => self.deadlock_panic(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Drain every visible element whose timestamp is `<= now`, in
-    /// timestamp order.
-    pub fn drain_ready(&self, now: VTime) -> Vec<Stamped<T>> {
-        let mut out = Vec::new();
-        let mut staged = self.inner.staged.lock();
-        self.drain_into(&mut staged);
-        while staged.peek().is_some_and(|top| top.at <= now) {
-            if let Some(s) = self.pop_staged(&mut staged) {
-                out.push(s);
-            }
-        }
-        out
-    }
-
-    /// Shared blocking core: `Ok(None)` means the wait bound elapsed
-    /// (`bound` = `None` uses the escape; the caller panics in that case).
-    fn recv_inner(&self, bound: Option<Duration>) -> Result<Option<Stamped<T>>, QueueClosed> {
-        let inner = &*self.inner;
-        let deadline = Instant::now() + bound.unwrap_or(self.escape);
-        // liveness: the producer bumps `depth` and notifies `cond` under
-        // the park mutex after every push, and `close` does the same; the
-        // deadline bounds the whole loop either way.
+        let deadline = Instant::now() + self.escape;
+        // liveness: recv_until returns on every push, close and
+        // wake_receiver; past the escape deadline this panics with a
+        // diagnostic.
         loop {
-            {
-                let mut staged = inner.staged.lock();
-                self.drain_into(&mut staged);
-                if let Some(s) = self.pop_staged(&mut staged) {
-                    return Ok(Some(s));
-                }
-                // ordering: SeqCst — see `close`.
-                if inner.closed.load(Ordering::SeqCst) {
-                    return Err(QueueClosed);
-                }
+            if let Some(s) = self.recv_until(Some(deadline))? {
+                clock.merge(s.at);
+                return Ok(s);
             }
-            // Park protocol (producer side in `push_from`): register as a
-            // waiter, then re-check under the park mutex, then wait. The
-            // SeqCst handshake on depth/waiters plus the mutex-bracketed
-            // notify make a lost wakeup impossible; the timed wait below is
-            // belt and braces on top, not a correctness requirement.
-            //
-            // ordering: SeqCst — Dekker handshake with `push_from`.
-            inner.waiters.fetch_add(1, Ordering::SeqCst);
-            let mut g = inner.park.lock();
-            // ordering: SeqCst — re-check after registering; pairs with the
-            // producer's depth increment.
-            let timed_out = if inner.depth.load(Ordering::SeqCst) == 0
-                && !inner.closed.load(Ordering::SeqCst)
-            {
-                let now = Instant::now();
-                if now >= deadline {
-                    true
-                } else {
-                    inner.cond.wait_for(&mut g, deadline - now).timed_out()
-                }
-            } else {
-                false
-            };
-            drop(g);
-            // ordering: SeqCst — see the fetch_add above.
-            inner.waiters.fetch_sub(1, Ordering::SeqCst);
-            if timed_out && Instant::now() >= deadline {
-                return Ok(None);
+            if Instant::now() >= deadline {
+                self.deadlock_panic(clock);
             }
         }
     }
 
-    /// Debug snapshot of every undelivered entry as `(at_ns, tie, seq)`,
-    /// staged and in-ring alike (drains rings into the staging heap).
-    #[doc(hidden)]
-    pub fn debug_entries(&self) -> Vec<(u64, u64, u64)> {
-        let mut staged = self.inner.staged.lock();
-        self.drain_into(&mut staged);
-        let mut out: Vec<(u64, u64, u64)> = staged
-            .iter()
-            .map(|e| (e.at.as_ns(), e.tie, e.seq))
-            .collect();
-        out.sort_unstable();
-        out
+    /// Blocking receive that parks at most once: the earliest element, or
+    /// `Ok(None)` when the park ends without one — at `deadline` (never,
+    /// if `None`), after [`Self::wake_receiver`], or because another
+    /// receiver took the element whose push ended it. Callers loop,
+    /// re-checking whatever they wait for.
+    pub fn recv_until(&self, deadline: Option<Instant>) -> Result<Option<Stamped<T>>, QueueClosed> {
+        if let Some(s) = self.try_recv()? {
+            return Ok(Some(s));
+        }
+        self.park(deadline);
+        self.try_recv()
+    }
+
+    /// Park protocol (producer side in `push_from`, waker side in
+    /// `wake_receiver`): register as a waiter, then re-check under the park
+    /// mutex, then wait. The SeqCst handshake on depth/woken/waiters plus
+    /// the mutex-bracketed notifies make a lost wakeup impossible.
+    fn park(&self, deadline: Option<Instant>) {
+        let inner = &*self.inner;
+        // ordering: SeqCst — Dekker handshake with `push_from` and
+        // `wake_receiver`.
+        inner.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut g = inner.park.lock();
+        // ordering: SeqCst — re-check after registering; pairs with the
+        // producer's depth increment, `close` and the waker's store.
+        let idle = inner.depth.load(Ordering::SeqCst) == 0
+            && !inner.closed.load(Ordering::SeqCst)
+            && !inner.woken.swap(false, Ordering::SeqCst);
+        if idle {
+            // liveness: push_from, close and wake_receiver notify `cond`
+            // under the park mutex while a receiver is registered;
+            // `deadline`, if any, bounds the park.
+            match deadline {
+                Some(d) => {
+                    inner.cond.wait_until(&mut g, d);
+                }
+                None => SimCondvar::wait(&inner.cond, &mut g),
+            }
+        }
+        drop(g);
+        // ordering: SeqCst — see the fetch_add above.
+        inner.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// End a parked [`Self::recv_until`] empty-handed, or, if no receiver
+    /// is parked, the next one that would park. The waker of a receiver
+    /// that waits on a state change made by another thread.
+    pub fn wake_receiver(&self) {
+        let inner = &*self.inner;
+        // ordering: SeqCst — first half of the handshake with `park`, like
+        // the depth increment in `push_from`.
+        inner.woken.store(true, Ordering::SeqCst);
+        // ordering: SeqCst — second half of the handshake.
+        if inner.waiters.load(Ordering::SeqCst) > 0 {
+            let _g = inner.park.lock();
+            inner.cond.notify_all();
+        }
     }
 
     /// The real-time escape fired while blocked: the simulated program is
     /// deadlocked. Never returns.
-    fn deadlock_panic(&self, clock: Option<&VClock>) -> ! {
+    fn deadlock_panic(&self, clock: &VClock) -> ! {
         let inner = &*self.inner;
         panic!(
             "DeliveryRings::recv: no event within {:?} of real time — the simulated \
@@ -560,7 +514,7 @@ impl<T: Send> DeliveryRings<T> {
             // ordering: SeqCst — diagnostic reads.
             inner.depth.load(Ordering::SeqCst),
             inner.closed.load(Ordering::SeqCst),
-            clock.map_or(0, |c| c.now().as_ns()),
+            clock.now().as_ns(),
             self.tracer.tail_report(crate::trace::REPORT_TAIL)
         );
     }
@@ -629,14 +583,6 @@ impl<T: Send> DeliveryQueue<T> {
         }
     }
 
-    /// Nonblocking poll at `now`; see [`TimedQueue::try_recv_ready`].
-    pub fn try_recv_ready(&self, now: VTime) -> Result<Option<Stamped<T>>, QueueClosed> {
-        match self {
-            DeliveryQueue::Heap(q) => q.try_recv_ready(now),
-            DeliveryQueue::Rings(q) => q.try_recv_ready(now),
-        }
-    }
-
     /// Blocking receive that merges the element's timestamp into `clock`;
     /// see [`TimedQueue::recv_merge`].
     pub fn recv_merge(&self, clock: &VClock) -> Result<Stamped<T>, QueueClosed> {
@@ -646,32 +592,24 @@ impl<T: Send> DeliveryQueue<T> {
         }
     }
 
-    /// Blocking receive bounded by real time; see
-    /// [`TimedQueue::recv_timeout`].
-    // liveness: pure dispatch — both variants' recv_timeout carry their
-    // own liveness contracts (sender notify / ring push wakes the waiter,
-    // close poisons it), and the `dur` bound caps the block in real time.
-    pub fn recv_timeout(&self, dur: Duration) -> Result<Option<Stamped<T>>, QueueClosed> {
+    /// Blocking receive that parks at most once; see
+    /// [`TimedQueue::recv_until`].
+    // liveness: pure dispatch — both variants' recv_until carry their own
+    // liveness contracts (push, close and wake_receiver end the park), and
+    // `deadline`, if any, caps it in real time.
+    pub fn recv_until(&self, deadline: Option<Instant>) -> Result<Option<Stamped<T>>, QueueClosed> {
         match self {
-            DeliveryQueue::Heap(q) => q.recv_timeout(dur),
-            DeliveryQueue::Rings(q) => q.recv_timeout(dur),
+            DeliveryQueue::Heap(q) => q.recv_until(deadline),
+            DeliveryQueue::Rings(q) => q.recv_until(deadline),
         }
     }
 
-    /// Blocking receive without a clock; see [`TimedQueue::recv`].
-    pub fn recv(&self) -> Result<Stamped<T>, QueueClosed> {
+    /// End a parked receive empty-handed; see
+    /// [`TimedQueue::wake_receiver`].
+    pub fn wake_receiver(&self) {
         match self {
-            DeliveryQueue::Heap(q) => q.recv(),
-            DeliveryQueue::Rings(q) => q.recv(),
-        }
-    }
-
-    /// Drain every element stamped `<= now`; see
-    /// [`TimedQueue::drain_ready`].
-    pub fn drain_ready(&self, now: VTime) -> Vec<Stamped<T>> {
-        match self {
-            DeliveryQueue::Heap(q) => q.drain_ready(now),
-            DeliveryQueue::Rings(q) => q.drain_ready(now),
+            DeliveryQueue::Heap(q) => q.wake_receiver(),
+            DeliveryQueue::Rings(q) => q.wake_receiver(),
         }
     }
 }
@@ -784,7 +722,12 @@ mod tests {
     fn close_unblocks_parked_consumer() {
         let q: DeliveryRings<()> = DeliveryRings::new(1, 4);
         let q2 = q.clone();
-        let h = thread::spawn(move || q2.recv());
+        let h = thread::spawn(move || loop {
+            match q2.recv_until(None) {
+                Ok(None) => continue,
+                r => return r.map(|_| ()),
+            }
+        });
         thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), Err(QueueClosed));
@@ -815,37 +758,27 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_ready_respects_now() {
-        let q = DeliveryRings::new(1, 4);
-        q.push_from(0, VTime::from_us(50), ());
-        assert!(q.try_recv_ready(VTime::from_us(10)).unwrap().is_none());
-        assert!(q.try_recv_ready(VTime::from_us(50)).unwrap().is_some());
-        assert!(q.try_recv_ready(VTime::from_us(99)).unwrap().is_none());
-    }
-
-    #[test]
-    fn recv_timeout_times_out_and_delivers() {
+    fn recv_until_times_out_and_delivers() {
         let q: DeliveryRings<u8> = DeliveryRings::new(1, 4);
-        assert_eq!(q.recv_timeout(Duration::from_millis(10)), Ok(None));
+        let soon = || Some(Instant::now() + Duration::from_millis(10));
+        assert_eq!(q.recv_until(soon()), Ok(None));
         q.push_from(0, VTime::from_us(4), 9);
-        let got = q.recv_timeout(Duration::from_millis(10)).unwrap().unwrap();
-        assert_eq!(got.item, 9);
+        assert_eq!(q.recv_until(soon()).unwrap().unwrap().item, 9);
         q.close();
-        assert_eq!(q.recv_timeout(Duration::from_millis(10)), Err(QueueClosed));
+        assert_eq!(q.recv_until(soon()), Err(QueueClosed));
     }
 
     #[test]
-    fn drain_ready_takes_prefix_across_lanes() {
-        let q = DeliveryRings::new(2, 8);
-        for i in 0..5u64 {
-            q.push_from((i % 2) as usize, VTime::from_us(i * 10), i);
-        }
-        let got = q.drain_ready(VTime::from_us(25));
-        assert_eq!(
-            got.iter().map(|s| s.item).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(q.len(), 2);
+    fn wake_receiver_ends_an_untimed_park() {
+        let q: DeliveryRings<u8> = DeliveryRings::new(1, 4);
+        // A wake with no receiver parked is kept for the next one.
+        q.wake_receiver();
+        assert_eq!(q.recv_until(None), Ok(None));
+        let q2 = q.clone();
+        let h = thread::spawn(move || q2.recv_until(None));
+        thread::sleep(Duration::from_millis(20));
+        q.wake_receiver();
+        assert_eq!(h.join().unwrap(), Ok(None));
     }
 
     #[test]

@@ -131,6 +131,7 @@ pub const WAIT_PROBES: &[&str] = &[
     "recv",
     "recv_merge",
     "recv_timeout",
+    "recv_until",
     "park",
     "park_timeout",
     "yield_now",

@@ -309,6 +309,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "recv",
     "recv_merge",
     "recv_timeout",
+    "recv_until",
     "pump",
     "send_at",
     "send_now",

@@ -20,9 +20,10 @@
 //!   by virtual-time timers. The fabric genuinely drops and duplicates
 //!   packets per a seeded [`spsim::FaultPlan`]; an unrecoverable flow
 //!   surfaces as a structured [`DeliveryTimeout`];
-//! * a per-adapter [`spsim::TimedQueue`] of arrived packets, from which the
-//!   protocol layer (LAPI dispatcher / MPL progress engine) receives in
-//!   arrival-time order.
+//! * a per-adapter [`spsim::DeliveryQueue`] of arrived packets (one SPSC
+//!   ring per source, [`spsim::DeliveryRings`]), from which the protocol
+//!   layer (LAPI dispatcher / MPL progress engine) receives in arrival-time
+//!   order.
 //!
 //! The switch is generic over the packet body type `M`, so the LAPI and MPL
 //! crates each instantiate it with their own wire formats. The switch itself
